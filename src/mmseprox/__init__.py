@@ -11,7 +11,7 @@ proximal step; `cli` exposes config-driven experiments.
 """
 
 from .denoiser import Denoiser, InversionResult, QuadratureError
-from .marginal import Marginal, MarginalBackend, NoiseModel
+from .marginal import Marginal, NoiseModel
 from .moreau import (
     EnvelopeResult,
     EnvelopeUnboundedError,
@@ -75,7 +75,6 @@ __all__ = [
     "IterRecord",
     "LinearOperator",
     "Marginal",
-    "MarginalBackend",
     "MixtureComponent",
     "MixturePrior",
     "MultivaluedProxError",
@@ -92,6 +91,7 @@ __all__ = [
     "certify_weak_convexity",
     "descent_check",
     "envelope_gradient",
+    "gaussian_blur_kernel",
     "lower_envelope",
     "lower_envelope_many",
     "prox",

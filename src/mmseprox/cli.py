@@ -30,7 +30,7 @@ import numpy as np
 
 from . import moreau, pnp
 from .denoiser import Denoiser, QuadratureError
-from .marginal import Marginal, MarginalBackend, NoiseModel
+from .marginal import Marginal, NoiseModel
 from .moreau import EnvelopeUnboundedError, MultivaluedProxError
 from .operators import (
     CircularConv1D,
@@ -262,7 +262,7 @@ def _operator_from(cfg: Config):
         raise ConfigError(f"section [operator]: {exc}") from exc
 
 
-def _solver_settings(cfg: Config, seed: int):
+def _solver_settings(cfg: Config):
     max_iters = cfg.get("solver", "max_iters", _parse_int, default=50)
     init_name = cfg.get(
         "solver", "init", _parse_choice({i.value for i in pnp.Init}), default=pnp.Init.ZEROS.value
@@ -277,7 +277,7 @@ def _solver_settings(cfg: Config, seed: int):
             raise ConfigError("solver.lambda must be > 0 or 'auto'")
     try:
         sc = pnp.SolverConfig(
-            max_iters=max_iters, init=pnp.Init(init_name), record_objective=record, seed=seed
+            max_iters=max_iters, init=pnp.Init(init_name), record_objective=record
         )
     except ValueError as exc:
         raise ConfigError(f"section [solver]: {exc}") from exc
@@ -361,7 +361,7 @@ def _run_deblur(cfg: Config, prefix: Path, seed: int) -> int:
     noise = np.random.default_rng(seed + 1).standard_normal(n)
     y = op.apply(truth) + math.sqrt(meas_sigma2) * noise
 
-    solver_cfg, lam = _solver_settings(cfg, seed)
+    solver_cfg, lam = _solver_settings(cfg)
     fid = Fidelity.auto(op, y) if lam is None else Fidelity(op, y, lam)
     trace = pnp.run(den, fid, reg, solver_cfg)
 
@@ -505,7 +505,7 @@ def _suite_solver_small(reg: Regularizer, seed: int, details: dict) -> bool:
     fid = Fidelity.auto(op, y)
     trace = pnp.run(
         den, fid, solver_reg,
-        pnp.SolverConfig(max_iters=120, init=pnp.Init.ADJOINT_OBSERVATION, seed=seed),
+        pnp.SolverConfig(max_iters=120, init=pnp.Init.ADJOINT_OBSERVATION),
     )
     slacks = pnp.descent_check(trace)
     floor = min(

@@ -8,20 +8,19 @@ are mutually consistent; downstream identities (denoiser inversion, the
 envelope reconstruction of the regularizer) are sensitive to mixed
 accuracy between f_Z and its derivatives.
 
-Two backends are available:
+Each component kind has one exact formula for its convolved density q_i
+and the ratios q_i'/q_i, q_i''/q_i:
 
-* ``CLOSED_FORM_GAUSSIAN`` -- exact, for all-Gaussian priors, where each
-  component convolves to a Gaussian with variance ``scale**2 + sigma2``.
-* ``GAUSS_HERMITE`` -- quadrature of the convolution integral in
-  log-sum-exp form.  Gaussian components are summed with a genuine
-  Gauss-Hermite rule of the requested order.  Laplace components are
-  *not* amenable to a plain Hermite rule: the integrand has a kink, and
-  the rule's error there decays far too slowly (measured ~1e-1 on the
-  score at order 200).  Instead the integral is split at the kink, which
+* Gaussian -- the convolution is again Gaussian, with variance
+  ``scale**2 + sigma2``; all Gaussian components are evaluated together
+  in one vectorized call.
+* Laplace -- the integrand has a kink, which a plain quadrature rule
+  resolves far too slowly (a Gauss-Hermite rule of order 200 leaves an
+  error of ~1e-1 on the score).  Splitting the integral at the kink
   reduces each half to a Gaussian integral with an exact closed form in
-  terms of the normal CDF; those components are therefore evaluated to
-  machine accuracy regardless of ``order``.
+  terms of the normal CDF (see ``_laplace_component``).
 
+The per-component columns are then mixed by responsibility weights.
 Everything is computed with max-subtracted log-sum-exp and the stable
 ``log_ndtr``, so tail evaluations degrade gracefully to the dominant
 component instead of hitting 0/0.
@@ -30,26 +29,15 @@ component instead of hitting 0/0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 from scipy import special
 
-from .prior import ComponentKind, MixturePrior
+from .prior import MixturePrior
 
-__all__ = ["NoiseModel", "MarginalBackend", "Marginal"]
+__all__ = ["NoiseModel", "Marginal"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-_SQRT2 = float(np.sqrt(2.0))
-
-# Keep intermediate (points x nodes) matrices around a few dozen MB.
-_CHUNK_ENTRIES = 4_000_000
-
-
-class MarginalBackend(str, Enum):
-    CLOSED_FORM_GAUSSIAN = "closed_form_gaussian"
-    GAUSS_HERMITE = "gauss_hermite"
 
 
 @dataclass(frozen=True)
@@ -63,21 +51,9 @@ class NoiseModel:
             raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2!r}")
 
 
-@lru_cache(maxsize=16)
-def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hermite nodes and log-weights, keeping only nonzero weights.
-
-    Uses scipy's rule, which stays accurate at high order where the
-    textbook recurrence overflows; weights that underflow to zero carry
-    no information and are dropped.
-    """
-    nodes, weights = special.roots_hermite(order)
-    keep = weights > 0.0
-    return nodes[keep], np.log(weights[keep])
-
-
 class Marginal:
-    """Negative log density of Z = X + noise and its derivatives.
+    """Negative log density of Z = X + noise and its derivatives, exact
+    for every Gaussian and Laplace component.
 
     Parameters
     ----------
@@ -85,40 +61,17 @@ class Marginal:
         The clean-signal mixture prior.
     noise:
         Gaussian :class:`NoiseModel`.
-    backend:
-        Evaluation backend; defaults to the closed form for all-Gaussian
-        priors and the quadrature backend otherwise.
-    order:
-        Gauss-Hermite order (>= 64) used for Gaussian components under the
-        quadrature backend.  Ignored by the closed form.
     """
 
-    def __init__(
-        self,
-        prior: MixturePrior,
-        noise: NoiseModel,
-        backend: MarginalBackend | str | None = None,
-        order: int = 200,
-    ):
+    def __init__(self, prior: MixturePrior, noise: NoiseModel):
         self.prior = prior
         self.noise = noise
-        if backend is None:
-            backend = (
-                MarginalBackend.CLOSED_FORM_GAUSSIAN
-                if prior.is_all_gaussian
-                else MarginalBackend.GAUSS_HERMITE
-            )
-        backend = MarginalBackend(backend)
-        if backend is MarginalBackend.CLOSED_FORM_GAUSSIAN and not prior.is_all_gaussian:
-            raise ValueError("closed-form backend requires an all-Gaussian prior")
-        if backend is MarginalBackend.GAUSS_HERMITE and order < 64:
-            raise ValueError(f"Gauss-Hermite order must be >= 64, got {order!r}")
-        self.backend = backend
-        self.order = int(order)
-        if backend is MarginalBackend.GAUSS_HERMITE:
-            self._nodes, logw = _hermite_rule(self.order)
-            # log of w_k / sqrt(pi): constant of the substitution u = sqrt(2) t
-            self._logw = logw - 0.5 * np.log(np.pi)
+        # Per-kind (log-weight, location, scale), split once: scalar_f runs
+        # ~1e5 times on small inputs in the certificate suite.
+        gauss = prior._gauss
+        logw = np.log(prior._w)
+        self._gaussian = (logw[gauss], prior._mu[gauss], prior._sc[gauss]) if gauss.any() else None
+        self._laplace = [(logw[i], prior._mu[i], prior._sc[i]) for i in np.flatnonzero(~gauss)]
 
     @property
     def sigma2(self) -> float:
@@ -132,40 +85,22 @@ class Marginal:
         if not np.all(np.isfinite(zs)):
             raise ValueError("evaluation point must be finite")
         flat = zs.reshape(-1)
-        if self.backend is MarginalBackend.CLOSED_FORM_GAUSSIAN:
-            f, f1, f2 = self._closed_form(flat)
+        columns = []
+        if self._gaussian is not None:
+            columns.append(self._gaussian_components(flat, *self._gaussian))
+        for logw, mu, b in self._laplace:
+            logq, r1, r2 = self._laplace_component(flat, mu, b)
+            columns.append(((logw + logq)[:, None], r1[:, None], r2[:, None]))
+        if len(columns) == 1:  # one block needs no copy (the all-Gaussian hot path)
+            terms, slope, curve = columns[0]
         else:
-            f, f1, f2 = self._quadrature(flat)
+            terms, slope, curve = (np.concatenate(c, axis=1) for c in zip(*columns))
+        f, f1, f2 = self._combine(terms, slope, curve)
         return f.reshape(zs.shape), f1.reshape(zs.shape), f2.reshape(zs.shape)
-
-    def _closed_form(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        prior = self.prior
-        var = prior._sc**2 + self.sigma2
-        logw = np.log(prior._w)
-        dev = zs[:, None] - prior._mu
-        terms = logw - 0.5 * (_LOG_2PI + np.log(var)) - 0.5 * dev**2 / var
-        slope = -dev / var
-        curve = slope**2 - 1.0 / var
-        return self._combine(terms, slope, curve)
-
-    def _quadrature(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        prior = self.prior
-        n, k = zs.size, len(prior.components)
-        logq = np.empty((n, k))
-        slope = np.empty((n, k))
-        curve = np.empty((n, k))
-        for i, comp in enumerate(prior.components):
-            if comp.kind is ComponentKind.GAUSSIAN:
-                cols = self._gh_gaussian_component(zs, comp.location, comp.scale)
-            else:
-                cols = self._laplace_component(zs, comp.location, comp.scale)
-            logq[:, i], slope[:, i], curve[:, i] = cols
-        terms = np.log(prior._w) + logq
-        return self._combine(terms, slope, curve)
 
     @staticmethod
     def _combine(terms, slope, curve):
-        """Mix per-component (log q_i, q_i'/q_i, q_i''/q_i) into f_Z terms."""
+        """Mix per-component (log w_i + log q_i, q_i'/q_i, q_i''/q_i) into f_Z terms."""
         m = terms.max(axis=1, keepdims=True)
         resp = np.exp(terms - m)
         norm = resp.sum(axis=1)
@@ -175,30 +110,14 @@ class Marginal:
         s2 = (resp * curve).sum(axis=1)
         return f, -s1, -s2 + s1**2
 
-    def _gh_gaussian_component(self, zs, mu, s):
-        """Hermite-quadrature convolution of one Gaussian component."""
-        sigma = np.sqrt(self.sigma2)
-        shift = sigma * _SQRT2 * self._nodes
-        nq = self._nodes.size
-        logq = np.empty(zs.size)
-        r1 = np.empty(zs.size)
-        r2 = np.empty(zs.size)
-        step = max(1, _CHUNK_ENTRIES // nq)
-        for start in range(0, zs.size, step):
-            z = zs[start : start + step]
-            dev = (z[:, None] - shift) - mu
-            logpdf = -0.5 * (_LOG_2PI + 2.0 * np.log(s)) - 0.5 * (dev / s) ** 2
-            terms = self._logw + logpdf
-            m = terms.max(axis=1, keepdims=True)
-            resp = np.exp(terms - m)
-            norm = resp.sum(axis=1)
-            sl = slice(start, start + z.size)
-            logq[sl] = m[:, 0] + np.log(norm)
-            resp /= norm[:, None]
-            a = -dev / s**2
-            r1[sl] = (resp * a).sum(axis=1)
-            r2[sl] = (resp * (a**2 - 1.0 / s**2)).sum(axis=1)
-        return logq, r1, r2
+    def _gaussian_components(self, zs, logw, mu, s):
+        """Closed-form convolution of Gaussian components, one column each."""
+        var = s**2 + self.sigma2
+        dev = zs[:, None] - mu
+        terms = logw - 0.5 * (_LOG_2PI + np.log(var)) - 0.5 * dev**2 / var
+        slope = -dev / var
+        curve = slope**2 - 1.0 / var
+        return terms, slope, curve
 
     def _laplace_component(self, zs, mu, b):
         """Kink-split convolution of one Laplace component (exact).

@@ -60,7 +60,6 @@ class SolverConfig:
     max_iters: int = 50
     init: Init = Init.ZEROS
     record_objective: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -213,14 +212,14 @@ def descent_check(trace: SolverTrace) -> list[float]:
     return [r.descent_slack for r in trace.records]
 
 
-def rate_certificate(trace: SolverTrace, fid: Fidelity | None = None, tol: float = 1e-9) -> RateCertificate:
+def rate_certificate(trace: SolverTrace, tol: float = 1e-9) -> RateCertificate:
     """Check the k^{-1/2} residual bound along a recorded trace."""
     K = len(trace.records)
     if K < 10:
         raise ValueError(f"trace has only {K} records; need at least 10")
     if any(math.isnan(r.objective_F) for r in trace.records) or math.isnan(trace.final_objective):
         raise ValueError("objectives were not recorded; rerun with record_objective=True")
-    L = fid.lipschitz() if fid is not None else trace.lipschitz
+    L = trace.lipschitz
     C = (1.0 + L) / math.sqrt((1.0 - L) / 2.0)
     F1 = trace.records[0].objective_F
     Fstar = min(min(r.objective_F for r in trace.records), trace.final_objective)

@@ -191,31 +191,6 @@ class MixturePrior:
         m = max(terms)
         return m + math.log(math.fsum(math.exp(t - m) for t in terms))
 
-    def scalar_score_ratios(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Elementwise ``(log p, p'/p, p''/p)`` of the scalar mixture.
-
-        The derivative ratios are responsibility-weighted averages of the
-        per-component ratios, which keeps them finite for any input (no
-        0/0 in the tails: the max-subtracted softmax degrades gracefully
-        to the dominant component).  Laplace second derivatives are taken
-        in the almost-everywhere sense, ignoring the kink.
-        """
-        xs = np.asarray(xs, dtype=float)
-        terms = self._log_terms(xs)
-        m = terms.max(axis=-1, keepdims=True)
-        resp = np.exp(terms - m)
-        norm = resp.sum(axis=-1)
-        logp = m[..., 0] + np.log(norm)
-        resp /= norm[..., None]
-
-        dev = xs[..., None] - self._mu
-        var = self._sc**2
-        r1_comp = np.where(self._gauss, -dev / var, -np.sign(dev) / self._sc)
-        r2_comp = np.where(self._gauss, (dev / var) ** 2 - 1.0 / var, 1.0 / var)
-        r1 = (resp * r1_comp).sum(axis=-1)
-        r2 = (resp * r2_comp).sum(axis=-1)
-        return logp, r1, r2
-
     # -- public contract ---------------------------------------------------
 
     def _check_point(self, x) -> np.ndarray:

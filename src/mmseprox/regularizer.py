@@ -43,6 +43,11 @@ __all__ = [
     "certify_weak_convexity",
 ]
 
+# Anchor point of the constant c, and the residual below which an inverted
+# point counts as inside the image of the denoiser.
+_ANCHOR = 0.0
+_INVERT_TOL = 1e-10
+
 
 class Route(str, Enum):
     EXPLICIT = "explicit"
@@ -114,29 +119,15 @@ def certify_weak_convexity(eval_fn, grid, tol: float = 1e-5) -> CertificateRepor
 class Regularizer:
     """Evaluates the denoiser-implied regularizer by both routes.
 
-    The anchor constant is computed eagerly at construction from the
-    configured anchor point; ``c_constant`` recomputes it at any other
-    anchor so anchor independence can be checked.
+    The anchor constant is computed eagerly at construction at the anchor
+    point 0; ``c_constant`` recomputes it at any other anchor so anchor
+    independence can be checked.
     """
 
-    def __init__(
-        self,
-        denoiser: Denoiser,
-        anchor: float = 0.0,
-        *,
-        envelope_grid_points: int = 501,
-        envelope_golden_iters: int = 80,
-        invert_tol: float = 1e-10,
-    ):
-        if envelope_grid_points < 3:
-            raise ValueError("envelope_grid_points must be >= 3")
+    def __init__(self, denoiser: Denoiser):
         self.denoiser = denoiser
         self.marginal = denoiser.marginal
-        self.anchor = float(anchor)
-        self.envelope_grid_points = int(envelope_grid_points)
-        self.envelope_golden_iters = int(envelope_golden_iters)
-        self.invert_tol = float(invert_tol)
-        self.c_anchor = self._c_at(self.anchor)
+        self.c_anchor = self._c_at(_ANCHOR)
 
     # -- anchor constant ---------------------------------------------------------
 
@@ -163,8 +154,8 @@ class Regularizer:
     # -- explicit route ----------------------------------------------------------
 
     def _explicit_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ys, res, ok = self.denoiser.scalar_invert(xs, tol=self.invert_tol)
-        in_image = ok & (res <= self.invert_tol)
+        ys, res, ok = self.denoiser.scalar_invert(xs, tol=_INVERT_TOL)
+        in_image = ok & (res <= _INVERT_TOL)
         fz = np.asarray(self.marginal.scalar_f(ys)[0])
         vals = -0.5 * (ys - xs) ** 2 + self.marginal.sigma2 * fz
         vals = np.where(in_image, vals, np.inf)
@@ -185,18 +176,10 @@ class Regularizer:
 
     # -- envelope route ----------------------------------------------------------
 
-    def _marginal_values(self, ys: np.ndarray) -> np.ndarray:
-        return np.asarray(self.marginal.scalar_f(ys)[0])
-
     def _envelope_values(self, xs: np.ndarray, seeds=None) -> np.ndarray:
         sigma2 = self.marginal.sigma2
         vals, _ = moreau.upper_envelope_many(
-            self._marginal_values,
-            sigma2,
-            xs,
-            grid_points=self.envelope_grid_points,
-            golden_iters=self.envelope_golden_iters,
-            seeds=seeds,
+            lambda ys: self.marginal.scalar_f(ys)[0], sigma2, xs, seeds=seeds
         )
         return sigma2 * vals - sigma2 * self.c_anchor
 
@@ -204,17 +187,14 @@ class Regularizer:
         """Regularizer via the upper envelope of the marginal; finite
         wherever the envelope objective is bounded, including off-image."""
         xs, _ = _as_coords(x)
-        ys, res, ok = self.denoiser.scalar_invert(xs, tol=self.invert_tol)
-        in_image = bool((ok & (res <= self.invert_tol)).all())
-        seeds = np.where(ok & (res <= self.invert_tol), ys, np.nan)
-        vals = self._envelope_values(xs, seeds=seeds)
-        return PhiValue(float(vals.sum()), Route.ENVELOPE, in_image)
+        vals, in_image = self.phi_envelope_profile(xs)
+        return PhiValue(float(vals.sum()), Route.ENVELOPE, bool(in_image.all()))
 
     def phi_envelope_profile(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Per-point envelope values and in-image flags over a grid."""
         xs = np.asarray(xs, dtype=float).reshape(-1)
-        ys, res, ok = self.denoiser.scalar_invert(xs, tol=self.invert_tol)
-        in_image = ok & (res <= self.invert_tol)
+        ys, res, ok = self.denoiser.scalar_invert(xs, tol=_INVERT_TOL)
+        in_image = ok & (res <= _INVERT_TOL)
         seeds = np.where(in_image, ys, np.nan)
         return self._envelope_values(xs, seeds=seeds), in_image
 

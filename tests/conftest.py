@@ -1,7 +1,8 @@
 """Shared fixtures: the three scalar priors used across the suite, both
-noise levels, and an analytic two-point marginal whose denoiser image is a
-bounded interval (the mixture priors all have image = R, so boundary
-behavior needs this extra fixture)."""
+noise levels, a Laplace+Gaussian prior that only the marginal cases use,
+and an analytic two-point marginal whose denoiser image is a bounded
+interval (the mixture priors all have image = R, so boundary behavior
+needs this extra fixture)."""
 
 from __future__ import annotations
 
@@ -12,6 +13,9 @@ from mmseprox import ComponentKind, Denoiser, Marginal, MixturePrior, NoiseModel
 
 FIXTURE_NAMES = ("gauss1", "gmix2", "laplace1")
 SIGMA2S = (0.25, 1.0)
+# Marginal cases add a mixed-kind prior, so both component formulas are
+# exercised inside one mixture.
+MARGINAL_NAMES = FIXTURE_NAMES + ("lapgauss",)
 
 
 def make_prior(name: str, dimension: int | None = None) -> MixturePrior:
@@ -27,6 +31,14 @@ def make_prior(name: str, dimension: int | None = None) -> MixturePrior:
         )
     if name == "laplace1":
         return MixturePrior.laplace(0.0, 1.0, dimension=dimension)
+    if name == "lapgauss":
+        return MixturePrior.from_arrays(
+            kinds=[ComponentKind.LAPLACE, ComponentKind.GAUSSIAN],
+            weights=[0.4, 0.6],
+            locations=[-1.0, 1.5],
+            scales=[0.5, 0.7],
+            dimension=dimension,
+        )
     raise ValueError(name)
 
 
@@ -40,8 +52,8 @@ def prior_name(request) -> str:
 
 
 @pytest.fixture(
-    params=[(n, s2) for n in FIXTURE_NAMES for s2 in SIGMA2S],
-    ids=[f"{n}-s{s2}" for n in FIXTURE_NAMES for s2 in SIGMA2S],
+    params=[(n, s2) for n in MARGINAL_NAMES for s2 in SIGMA2S],
+    ids=[f"{n}-s{s2}" for n in MARGINAL_NAMES for s2 in SIGMA2S],
 )
 def marginal_case(request):
     name, sigma2 = request.param

@@ -61,7 +61,7 @@ def run_deblur_experiment():
     noise = np.random.default_rng(1).standard_normal(side * side)
     y = op.apply(truth) + math.sqrt(0.04) * noise
     fid = Fidelity.auto(op, y)
-    cfg = pnp.SolverConfig(max_iters=500, init=pnp.Init.ADJOINT_OBSERVATION, seed=0)
+    cfg = pnp.SolverConfig(max_iters=500, init=pnp.Init.ADJOINT_OBSERVATION)
     trace = pnp.run(den, fid, reg, cfg)
     return trace, truth, y, fid
 

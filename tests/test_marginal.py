@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from mmseprox import Marginal, MarginalBackend, NoiseModel
+from mmseprox import Marginal, NoiseModel
 
 from conftest import make_marginal, make_prior
 
 # Frozen oracle table computed with 40-digit arithmetic from the raw density
-# definitions (mixture-of-Gaussians marginals in closed form; Laplace prior
-# convolved by numeric quadrature with the Gaussian-kernel derivatives taken
-# analytically under the integral).  Each entry is
+# definitions (mixture-of-Gaussians marginals in closed form; priors with a
+# Laplace component convolved by numeric quadrature with the Gaussian-kernel
+# derivatives taken analytically under the integral).  Each entry is
 #   (name, sigma2, z): (f, f', f'', posterior_mean)
 # for the negative log marginal f.  The last column is consumed by the
 # denoiser tests.
@@ -31,6 +31,12 @@ ORACLE = {
     ("laplace1", 1.0, -3.1): (3.300862319695047, -0.97948439481830117, 0.048038175576554829, -2.1205156051816988),
     ("laplace1", 1.0, 0.4): (1.3828485044551904, 0.20821576000695066, 0.51136707504869848, 0.19178423999304934),
     ("laplace1", 1.0, 2.2): (2.4540673898617273, 0.88103287839057865, 0.1889862904794337, 1.3189671216094213),
+    ("lapgauss", 0.25, -3.1): (4.6165173912901139, -1.9983003918594034, 0.011702790038907078, -2.6004249020351492),
+    ("lapgauss", 0.25, 0.4): (1.8183168292342803, -0.65842231713544905, -1.0323065308605684, 0.56460557928386226),
+    ("lapgauss", 0.25, 2.2): (1.6048240968851127, 0.9516944075691635, 1.3379553901187012, 1.9620763981077091),
+    ("lapgauss", 1.0, -3.1): (3.5698836629059485, -1.4278747677599644, 0.51006544536845789, -1.6721252322400356),
+    ("lapgauss", 1.0, 0.4): (1.6279917510078016, -0.15599457735986989, -0.0094375248378506661, 0.55599457735986989),
+    ("lapgauss", 1.0, 2.2): (1.7667567605758538, 0.5061516728988093, 0.61114604359297847, 1.6938483271011907),
 }
 
 ORACLE_ZS = np.array([-3.1, 0.4, 2.2])
@@ -63,18 +69,6 @@ def test_public_accessors_match_scalar_f():
         assert marg.f_z(float(z)) == pytest.approx(f[i], rel=1e-14)
         assert marg.grad_f_z(float(z)) == pytest.approx(f1[i], rel=1e-14)
         assert marg.hess_f_z(float(z)) == pytest.approx(f2[i], rel=1e-14)
-
-
-def test_quadrature_backend_agrees_with_closed_form():
-    for name in ("gauss1", "gmix2"):
-        for sigma2 in (0.25, 1.0):
-            prior = make_prior(name)
-            noise = NoiseModel(sigma2)
-            closed = Marginal(prior, noise, backend=MarginalBackend.CLOSED_FORM_GAUSSIAN)
-            quad = Marginal(prior, noise, backend=MarginalBackend.GAUSS_HERMITE)
-            zs = np.linspace(-6, 6, 61)
-            for a, b in zip(closed.scalar_f(zs), quad.scalar_f(zs)):
-                np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9)
 
 
 def test_derivatives_match_finite_differences(marginal_case):

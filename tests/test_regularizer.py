@@ -163,8 +163,3 @@ def test_far_tail_anchor_stays_consistent():
     reg = make_reg("gauss1", 1.0)
     for anchor in (-12.0, 12.0):
         assert reg.c_constant(anchor) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_envelope_grid_points_validation():
-    with pytest.raises(ValueError):
-        Regularizer(Denoiser(make_marginal("gauss1", 1.0)), envelope_grid_points=2)
