@@ -334,7 +334,7 @@ def _run_denoiser_check(cfg: Config, prefix: Path, seed: int) -> int:
 
 def _write_grid_csv(path: Path, flat: np.ndarray, shape: tuple[int, int]) -> None:
     rows = flat.reshape(shape)
-    lines = [",".join(fmt17(v) for v in row) for row in rows]
+    lines = [",".join(fmt17(v) for v in row.tolist()) for row in rows]
     write_text(path, "\n".join(lines) + "\n")
 
 
@@ -440,7 +440,7 @@ def _suite_sandwich(details: dict) -> bool:
 
 
 def _suite_envelope_gradient(reg: Regularizer, details: dict) -> bool:
-    fz = moreau.ScalarFunction(eval=lambda ys: np.asarray(reg.marginal.scalar_f(ys)[0]))
+    fz = moreau.ScalarFunction(eval=reg.marginal.scalar_value)
     worst = 0.0
     # deliberately asymmetric points: a symmetric bimodal marginal has a
     # genuinely two-valued prox at its symmetry centre, where the gradient
@@ -466,7 +466,7 @@ def _suite_moreau_identity(reg: Regularizer, details: dict) -> bool:
         return vals.reshape(arr.shape) if arr.ndim else float(vals[0])
 
     m1, _ = moreau.lower_envelope_many(phi_values, 1.0, grid)
-    fz = np.asarray(reg.marginal.scalar_f(grid)[0])
+    fz = reg.marginal.scalar_value(grid)
     worst = float(np.abs(m1 / sigma2 + reg.c_anchor - fz).max())
     details["max_abs_err"] = worst
     anchors = [reg.c_constant(a) for a in (0.0, 0.5, -1.0)]

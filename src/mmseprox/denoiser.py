@@ -20,16 +20,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .marginal import Marginal
 from .prior import ComponentKind
 
 __all__ = ["Denoiser", "InversionResult", "QuadratureError"]
 
-# Bracket expansion gives up once the bracket is this many noise standard
-# deviations away from the target; beyond it the target is treated as
-# outside the image of the denoiser.
+# Bracket expansion gives up once the bracket is this many times
+# max(sigma, |x|) away from the target x; beyond it the target is treated
+# as outside the image of the denoiser.  Scaling with |x| keeps far targets
+# of a denoiser whose image is R (D(y) ~ c*y with c < 1) inside it.
 _BRACKET_HORIZON = 1e6
 
 
@@ -122,6 +122,8 @@ class Denoiser:
         Returns (numerator, denominator) where the numerator weight is
         (x - z) when ``shifted`` (for conditioning) and x otherwise.
         """
+        from scipy import integrate  # only priors with Laplace components get here
+
         prior = self.marginal.prior
         sigma = np.sqrt(self.sigma2)
         kinks = sorted(
@@ -183,7 +185,7 @@ class Denoiser:
         sigma = np.sqrt(self.sigma2)
         lo = xs - 10.0 * sigma
         hi = xs + 10.0 * sigma
-        horizon = _BRACKET_HORIZON * sigma
+        horizon = _BRACKET_HORIZON * np.maximum(sigma, np.abs(xs))
 
         # Geometric bracket expansion; apply() is increasing, so only the
         # side whose value has the wrong sign needs to grow.
@@ -198,8 +200,10 @@ class Denoiser:
             hi = np.where(need_hi, xs + 2.0 * (hi - xs), hi)
         bracketed = (self.scalar_apply(lo) <= xs) & (self.scalar_apply(hi) >= xs)
 
+        # One f_Z pass per Newton step gives both the residual and the slope.
         y = 0.5 * (lo + hi)
-        fy = self.scalar_apply(y) - xs
+        _, f1, f2 = self.marginal.scalar_f(y)
+        fy = (y - self.sigma2 * f1) - xs
         for _ in range(max_iters):
             if np.all(np.abs(fy) <= tol):
                 break
@@ -207,12 +211,13 @@ class Denoiser:
             # safeguard and the bisection fallback see the current bracket.
             hi = np.where(fy > 0.0, y, hi)
             lo = np.where(fy <= 0.0, y, lo)
-            dy = self.scalar_derivative(y)
+            dy = 1.0 - self.sigma2 * f2
             with np.errstate(divide="ignore", invalid="ignore"):
                 newton = y - fy / dy
             inside = (newton > lo) & (newton < hi) & np.isfinite(newton)
             y = np.where(inside, newton, 0.5 * (lo + hi))
-            fy = self.scalar_apply(y) - xs
+            _, f1, f2 = self.marginal.scalar_f(y)
+            fy = (y - self.sigma2 * f1) - xs
         residuals = np.abs(fy)
         return y, residuals, bracketed
 

@@ -20,10 +20,25 @@ and the ratios q_i'/q_i, q_i''/q_i:
   reduces each half to a Gaussian integral with an exact closed form in
   terms of the normal CDF (see ``_laplace_component``).
 
-The per-component columns are then mixed by responsibility weights.
+The per-component rows are then mixed by responsibility weights.
 Everything is computed with max-subtracted log-sum-exp and the stable
 ``log_ndtr``, so tail evaluations degrade gracefully to the dominant
 component instead of hitting 0/0.
+
+Layout: the arrays are component-major, one row of length n per component
+(shape ``(K, n)``), and every mixing sum runs over axis 0.  numpy reduces a
+short inner axis (the ``(n, K)`` layout with K = 2) one tiny row at a time,
+while a sum over rows is K - 1 elementwise passes over contiguous memory;
+on 65536 points of a two-component prior the full pass is about 2.7 times
+faster, and the value-only pass below about 5 times.  For K <= 7 the
+additions happen in the same order either way, so the digits do not
+depend on the layout; from eight rows on numpy's pairwise summation
+regroups the sum, which moves the last bits only.
+
+Two passes share the log terms and the log-sum-exp: ``scalar_f`` returns
+``(f_Z, f_Z', f_Z'')``, and ``scalar_value`` returns ``f_Z`` alone and
+skips the ratio rows, for callers that read only the value (the Moreau
+envelope searches, the explicit route, the anchor constant).
 """
 
 from __future__ import annotations
@@ -31,13 +46,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .prior import MixturePrior
 
 __all__ = ["NoiseModel", "Marginal"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def _stack(blocks):
+    """Row blocks stacked on axis 0; a single block (the all-Gaussian hot
+    path) is returned as is, without a copy."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 @dataclass(frozen=True)
@@ -66,11 +86,17 @@ class Marginal:
     def __init__(self, prior: MixturePrior, noise: NoiseModel):
         self.prior = prior
         self.noise = noise
-        # Per-kind (log-weight, location, scale), split once: scalar_f runs
-        # ~1e5 times on small inputs in the certificate suite.
+        # Per-kind constants, computed once: scalar_value and scalar_f run
+        # ~1e5 times on small inputs in the certificate suite.  Gaussian
+        # components are (K, 1) columns of (log w_i - log sqrt(2 pi var_i),
+        # mu_i, var_i = s_i^2 + sigma2); Laplace ones (log w, mu, b).
         gauss = prior._gauss
         logw = np.log(prior._w)
-        self._gaussian = (logw[gauss], prior._mu[gauss], prior._sc[gauss]) if gauss.any() else None
+        self._gaussian = None
+        if gauss.any():
+            var = (prior._sc[gauss] ** 2 + noise.sigma2)[:, None]
+            lognorm = logw[gauss][:, None] - 0.5 * (_LOG_2PI + np.log(var))
+            self._gaussian = (lognorm, prior._mu[gauss][:, None], var)
         self._laplace = [(logw[i], prior._mu[i], prior._sc[i]) for i in np.flatnonzero(~gauss)]
 
     @property
@@ -81,45 +107,68 @@ class Marginal:
 
     def scalar_f(self, zs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Elementwise ``(f_Z, f_Z', f_Z'')`` of the scalar marginal."""
+        zs, flat = self._flatten(zs)
+        terms, ratio_blocks = self._log_terms(flat)
+        f, resp, norm = self._log_sum_exp(terms)
+        slope, curve = (_stack(rows) for rows in zip(*(ratios() for ratios in ratio_blocks)))
+        resp /= norm
+        s1 = (resp * slope).sum(axis=0)
+        s2 = (resp * curve).sum(axis=0)
+        f1, f2 = -s1, -s2 + s1**2
+        return f.reshape(zs.shape), f1.reshape(zs.shape), f2.reshape(zs.shape)
+
+    def scalar_value(self, zs) -> np.ndarray:
+        """Elementwise ``f_Z`` alone, equal to ``scalar_f(zs)[0]`` bit for bit.
+
+        The same log terms and log-sum-exp as ``scalar_f``, without the
+        ratio rows that only the derivatives need.
+        """
+        zs, flat = self._flatten(zs)
+        terms, _ = self._log_terms(flat)
+        return self._log_sum_exp(terms)[0].reshape(zs.shape)
+
+    @staticmethod
+    def _flatten(zs) -> tuple[np.ndarray, np.ndarray]:
         zs = np.asarray(zs, dtype=float)
         if not np.all(np.isfinite(zs)):
             raise ValueError("evaluation point must be finite")
-        flat = zs.reshape(-1)
-        columns = []
+        return zs, zs.reshape(-1)
+
+    def _log_terms(self, flat):
+        """Rows ``log w_i + log q_i``, shape ``(K, n)``, Gaussian components
+        first, then each Laplace component in prior order; and, per block
+        of rows, a callable returning that block's ``(q_i'/q_i, q_i''/q_i)``
+        rows from the intermediates already computed."""
+        blocks = []
         if self._gaussian is not None:
-            columns.append(self._gaussian_components(flat, *self._gaussian))
+            blocks.append(self._gaussian_components(flat, *self._gaussian))
         for logw, mu, b in self._laplace:
-            logq, r1, r2 = self._laplace_component(flat, mu, b)
-            columns.append(((logw + logq)[:, None], r1[:, None], r2[:, None]))
-        if len(columns) == 1:  # one block needs no copy (the all-Gaussian hot path)
-            terms, slope, curve = columns[0]
-        else:
-            terms, slope, curve = (np.concatenate(c, axis=1) for c in zip(*columns))
-        f, f1, f2 = self._combine(terms, slope, curve)
-        return f.reshape(zs.shape), f1.reshape(zs.shape), f2.reshape(zs.shape)
+            blocks.append(self._laplace_component(flat, logw, mu, b))
+        return _stack([terms for terms, _ in blocks]), [ratios for _, ratios in blocks]
 
     @staticmethod
-    def _combine(terms, slope, curve):
-        """Mix per-component (log w_i + log q_i, q_i'/q_i, q_i''/q_i) into f_Z terms."""
-        m = terms.max(axis=1, keepdims=True)
+    def _log_sum_exp(terms):
+        """``f_Z`` from the component rows, with the unnormalized
+        responsibilities and their column sums for the derivatives."""
+        m = terms.max(axis=0)
         resp = np.exp(terms - m)
-        norm = resp.sum(axis=1)
-        f = -(m[:, 0] + np.log(norm))
-        resp /= norm[:, None]
-        s1 = (resp * slope).sum(axis=1)
-        s2 = (resp * curve).sum(axis=1)
-        return f, -s1, -s2 + s1**2
+        norm = resp.sum(axis=0)
+        return -(m + np.log(norm)), resp, norm
 
-    def _gaussian_components(self, zs, logw, mu, s):
-        """Closed-form convolution of Gaussian components, one column each."""
-        var = s**2 + self.sigma2
-        dev = zs[:, None] - mu
-        terms = logw - 0.5 * (_LOG_2PI + np.log(var)) - 0.5 * dev**2 / var
-        slope = -dev / var
-        curve = slope**2 - 1.0 / var
-        return terms, slope, curve
+    @staticmethod
+    def _gaussian_components(zs, lognorm, mu, var):
+        """Closed-form convolution of Gaussian components, one row each:
+        each is again Gaussian, with variance ``scale**2 + sigma2``."""
+        dev = zs - mu
+        terms = lognorm - 0.5 * dev**2 / var
 
-    def _laplace_component(self, zs, mu, b):
+        def ratios():
+            slope = -dev / var
+            return slope, slope**2 - 1.0 / var
+
+        return terms, ratios
+
+    def _laplace_component(self, zs, logw, mu, b):
         """Kink-split convolution of one Laplace component (exact).
 
         Splitting ``int p_X(z - sigma*u) phi(u) du`` at the kink of p_X
@@ -132,6 +181,8 @@ class Marginal:
         derivatives cancel, leaving q' = (L - R)/b and
         q''/q = (1 - N(d; 0, s2)/q)/b^2.
         """
+        from scipy import special  # only Laplace components need it
+
         sigma = np.sqrt(self.sigma2)
         d = zs - mu
         base = self.sigma2 / (2.0 * b**2) - np.log(2.0 * b)
@@ -141,10 +192,14 @@ class Marginal:
         er = np.exp(log_r - m)
         el = np.exp(log_l - m)
         logq = m + np.log(er + el)
-        r1 = (el - er) / (b * (el + er))
-        log_gauss = -0.5 * (_LOG_2PI + np.log(self.sigma2)) - 0.5 * d**2 / self.sigma2
-        r2 = (1.0 - np.exp(log_gauss - logq)) / b**2
-        return logq, r1, r2
+
+        def ratios():
+            r1 = (el - er) / (b * (el + er))
+            log_gauss = -0.5 * (_LOG_2PI + np.log(self.sigma2)) - 0.5 * d**2 / self.sigma2
+            r2 = (1.0 - np.exp(log_gauss - logq)) / b**2
+            return r1[None, :], r2[None, :]
+
+        return (logw + logq)[None, :], ratios
 
     # -- public contract -----------------------------------------------------
 
@@ -166,7 +221,7 @@ class Marginal:
     def f_z(self, z) -> float:
         """Negative log marginal density (sum over coordinates)."""
         arr, _ = self._check_point(z)
-        return float(self.scalar_f(arr)[0].sum())
+        return float(self.scalar_value(arr).sum())
 
     def grad_f_z(self, z):
         """Gradient of f_Z: a float in scalar mode, a vector otherwise."""

@@ -142,7 +142,7 @@ class Regularizer:
                 "choose an anchor inside the support of the model"
             )
         moreau_at_anchor = float(value[0]) + 0.5 * (psi0 - float(x0)) ** 2
-        f0 = float(np.asarray(self.marginal.scalar_f(x0arr)[0])[0])
+        f0 = float(self.marginal.scalar_value(x0arr)[0])
         return f0 - moreau_at_anchor / sigma2
 
     def c_constant(self, anchor: float | None = None) -> float:
@@ -156,7 +156,7 @@ class Regularizer:
     def _explicit_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ys, res, ok = self.denoiser.scalar_invert(xs, tol=_INVERT_TOL)
         in_image = ok & (res <= _INVERT_TOL)
-        fz = np.asarray(self.marginal.scalar_f(ys)[0])
+        fz = self.marginal.scalar_value(ys)
         vals = -0.5 * (ys - xs) ** 2 + self.marginal.sigma2 * fz
         vals = np.where(in_image, vals, np.inf)
         return vals, in_image
@@ -178,9 +178,7 @@ class Regularizer:
 
     def _envelope_values(self, xs: np.ndarray, seeds=None) -> np.ndarray:
         sigma2 = self.marginal.sigma2
-        vals, _ = moreau.upper_envelope_many(
-            lambda ys: self.marginal.scalar_f(ys)[0], sigma2, xs, seeds=seeds
-        )
+        vals, _ = moreau.upper_envelope_many(self.marginal.scalar_value, sigma2, xs, seeds=seeds)
         return sigma2 * vals - sigma2 * self.c_anchor
 
     def phi_envelope(self, x) -> PhiValue:
@@ -238,7 +236,7 @@ class Regularizer:
         """Emit the recovery curves: x, f_X, f_Z, phi_explicit, phi_envelope, in_image."""
         xs = np.asarray(xs, dtype=float).reshape(-1)
         f_x = -np.asarray(self.marginal.prior.scalar_log_pdf(xs))
-        f_z = np.asarray(self.marginal.scalar_f(xs)[0])
+        f_z = self.marginal.scalar_value(xs)
         explicit, in_image = self.phi_explicit_profile(xs)
         envelope, _ = self.phi_envelope_profile(xs)
         lines = ["x,f_X,f_Z,phi_explicit,phi_envelope,in_image"]

@@ -2,20 +2,17 @@
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 __all__ = ["fmt17", "fmt_bool", "write_text"]
 
 
 def fmt17(value: float) -> str:
-    """Format a float with 17 significant digits; infinities as inf/-inf."""
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return f"{v:.17g}"
+    """Format a float with 17 significant digits (round-trip exact).
+
+    NaN of either sign is written ``nan``, the infinities ``inf``/``-inf``.
+    """
+    return format(float(value), ".17g")
 
 
 def fmt_bool(flag) -> str:

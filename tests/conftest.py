@@ -81,6 +81,10 @@ class TwoPointMarginal:
         f = 0.5 * (zs**2 + 1.0) + 0.5 * np.log(2.0 * np.pi) - logcosh
         return f, zs - t, t**2
 
+    @classmethod
+    def scalar_value(cls, zs):
+        return cls.scalar_f(zs)[0]
+
 
 @pytest.fixture
 def two_point_denoiser() -> Denoiser:

@@ -13,7 +13,9 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+# The test modules and the package source, so that a plain checkout runs.
 sys.path.insert(0, str(HERE.parent))
+sys.path.insert(0, str(HERE.parents[1] / "src"))
 
 from test_acceptance import CERT_CONFIG, GOLDEN_CERTIFICATES, GOLDEN_TRACE, run_deblur_experiment
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
-from mmseprox import Denoiser, Marginal, NoiseModel
+from mmseprox import Denoiser, Marginal, MixturePrior, NoiseModel
 
 from conftest import make_marginal, make_prior
 from test_marginal import ORACLE, ORACLE_ZS
@@ -98,8 +98,20 @@ def test_two_point_image_is_bounded(two_point_denoiser):
     inside = den.scalar_invert(np.array([0.5]))
     assert inside[2].all()
     assert inside[0][0] == pytest.approx(np.arctanh(0.5), abs=1e-8)
-    ys, res, ok = den.scalar_invert(np.array([1.5, -1.01]))
+    ys, res, ok = den.scalar_invert(np.array([1.5, -1.01, -1.5]))
     assert not ok.any()  # outside the image (-1, 1): no preimage exists
+
+
+def test_far_targets_of_an_unbounded_image_are_bracketed():
+    # D(y) = y / 1.04 maps onto R, so every target has a preimage, however
+    # many noise standard deviations (here 0.2) away from 0 it lies.
+    den = Denoiser(Marginal(MixturePrior.gaussian(0.0, 1.0), NoiseModel(0.04)))
+    xs = np.array([1e7, -1e9])
+    ys, res, ok = den.scalar_invert(xs)
+    assert ok.all()
+    assert np.all(res <= 1e-10 * np.abs(xs))
+    np.testing.assert_allclose(ys, 1.04 * xs, rtol=1e-12)
+    assert den.invert(1e7).in_image
 
 
 def test_invert_rejects_bad_tolerance():

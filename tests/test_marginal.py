@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from mmseprox import Marginal, NoiseModel
+from mmseprox import ComponentKind, Marginal, MixturePrior, NoiseModel
 
 from conftest import make_marginal, make_prior
 
@@ -115,3 +117,64 @@ def test_scalar_mode_rejects_vectors():
     marg = make_marginal("gauss1", 1.0)
     with pytest.raises(ValueError):
         marg.f_z(np.zeros(2))
+
+
+# Grid in [-40, 40] plus both far tails.
+VALUE_ZS = np.concatenate([np.linspace(-40.0, 40.0, 4001), [-300.0, 300.0]])
+
+
+def test_scalar_value_is_scalar_f_value(marginal_case):
+    _, _, marg = marginal_case
+    assert np.array_equal(marg.scalar_value(VALUE_ZS), marg.scalar_f(VALUE_ZS)[0])
+    assert np.array_equal(marg.scalar_value(VALUE_ZS[1:].reshape(2, -1)),
+                          marg.scalar_f(VALUE_ZS[1:].reshape(2, -1))[0])
+    assert marg.scalar_value(0.4).shape == ()
+    with pytest.raises(ValueError):
+        marg.scalar_value(np.array([0.0, np.nan]))
+
+
+def _fsum_reference(z, weights, locations, scales, sigma2):
+    """(f, f', f'') at one point by a math.fsum log-sum-exp, and the sums of
+    absolute terms that bound the rounding error of each."""
+    terms, slopes, curves = [], [], []
+    for w, mu, s in zip(weights, locations, scales):
+        var = s * s + sigma2
+        d = z - mu
+        terms.append(math.log(w) - 0.5 * (math.log(2.0 * math.pi) + math.log(var)) - 0.5 * d * d / var)
+        slopes.append(-d / var)
+        curves.append((d / var) ** 2 - 1.0 / var)
+    m = max(terms)
+    e = [math.exp(t - m) for t in terms]
+    norm = math.fsum(e)
+    resp = [x / norm for x in e]
+    s1 = math.fsum(r * a for r, a in zip(resp, slopes))
+    s2 = math.fsum(r * c for r, c in zip(resp, curves))
+    f = -(m + math.log(norm))
+    values = (f, -s1, -s2 + s1 * s1)
+    scales_ = (
+        abs(f),
+        math.fsum(r * abs(a) for r, a in zip(resp, slopes)),
+        math.fsum(r * abs(c) for r, c in zip(resp, curves)) + s1 * s1,
+    )
+    return values, scales_
+
+
+@pytest.mark.parametrize("sigma2", (0.04, 1.0, 4.0))
+def test_ten_gaussian_components_match_fsum_reference(sigma2):
+    # Ten rows is past the eight-term block of numpy's pairwise summation,
+    # the one regime where the component-major sums round differently.
+    weights = [0.1] * 10
+    locations = [k - 5.0 for k in range(10)]
+    scales = [0.3 + 0.05 * k for k in range(10)]
+    prior = MixturePrior.from_arrays(
+        kinds=[ComponentKind.GAUSSIAN] * 10, weights=weights, locations=locations, scales=scales
+    )
+    marg = Marginal(prior, NoiseModel(sigma2))
+    zs = np.concatenate([np.linspace(-40.0, 40.0, 401), [-300.0, 300.0]])
+    got = marg.scalar_f(zs)
+    for i, z in enumerate(zs):
+        ref, bound = _fsum_reference(float(z), weights, locations, scales, sigma2)
+        for k in range(3):
+            # Relative to the summed magnitudes: f' crosses zero, where a
+            # pointwise relative error is undefined.
+            assert abs(got[k][i] - ref[k]) <= 1e-12 * bound[k], (k, float(z), got[k][i], ref[k])
