@@ -383,7 +383,7 @@ def _nested_prox_points(reg: Regularizer, zs: np.ndarray) -> np.ndarray:
     """argmin_y phi_envelope(y) + (y-z)^2/2 for each z, by nested envelopes."""
 
     def phi_values(ys):
-        vals, _ = reg.phi_envelope_profile(np.asarray(ys, dtype=float).reshape(-1))
+        vals, _ = reg.phi_envelope_profile(ys)
         return vals
 
     _, argopts = moreau.lower_envelope_many(phi_values, 1.0, zs, grid_points=301)
@@ -461,9 +461,8 @@ def _suite_moreau_identity(reg: Regularizer, details: dict) -> bool:
     grid = reg.default_grid(points=21, half_width_scales=3.0)
 
     def phi_values(ys):
-        arr = np.asarray(ys, dtype=float)
-        vals, _ = reg.phi_explicit_profile(arr.reshape(-1))
-        return vals.reshape(arr.shape) if arr.ndim else float(vals[0])
+        vals, _ = reg.phi_explicit_profile(ys)
+        return vals
 
     m1, _ = moreau.lower_envelope_many(phi_values, 1.0, grid)
     fz = reg.marginal.scalar_value(grid)

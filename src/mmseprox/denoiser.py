@@ -190,15 +190,16 @@ class Denoiser:
         # Geometric bracket expansion; apply() is increasing, so only the
         # side whose value has the wrong sign needs to grow.
         for _ in range(64):
-            need_lo = self.scalar_apply(lo) > xs
-            need_lo &= (xs - lo) < horizon
-            need_hi = self.scalar_apply(hi) < xs
-            need_hi &= (hi - xs) < horizon
+            at_lo, at_hi = self.scalar_apply(lo), self.scalar_apply(hi)
+            need_lo = (at_lo > xs) & ((xs - lo) < horizon)
+            need_hi = (at_hi < xs) & ((hi - xs) < horizon)
             if not (need_lo.any() or need_hi.any()):
                 break
             lo = np.where(need_lo, xs - 2.0 * (xs - lo), lo)
             hi = np.where(need_hi, xs + 2.0 * (hi - xs), hi)
-        bracketed = (self.scalar_apply(lo) <= xs) & (self.scalar_apply(hi) >= xs)
+        else:
+            at_lo, at_hi = self.scalar_apply(lo), self.scalar_apply(hi)
+        bracketed = (at_lo <= xs) & (at_hi >= xs)
 
         # One f_Z pass per Newton step gives both the residual and the slope.
         y = 0.5 * (lo + hi)

@@ -4,25 +4,32 @@ The lower envelope at parameter gamma is
 
     M_gamma f(x)  = inf_y  f(y) + (y - x)^2 / (2 gamma)
 
-and the upper envelope is the sup with the quadratic subtracted.  Both are
-computed the same way: evaluate the objective on a uniform grid around x,
-golden-section every grid-local optimum basin down to rounding, and keep
-the best refined candidate.  Near-ties (within ``tie_tol`` in value) are
-reported in ``candidates`` so callers can detect a multi-valued proximal
-map; the reported optimizer is always the smallest tied one.
+and the upper envelope is the sup with the quadratic subtracted.  Every
+envelope runs on one core: ``_scan`` evaluates the objective on a uniform
+grid around each x (widening the window while the optimum sits on its
+edge), and ``_golden`` refines grid brackets down to rounding by golden
+section, one row per bracket.
+
+The scalar ``lower_envelope`` / ``upper_envelope`` refine every grid-local
+optimum basin and keep the best refined candidate.  Near-ties (within
+``_TIE_TOL`` in value) are reported in ``candidates`` so callers can detect
+a multi-valued proximal map; the reported optimizer is always the smallest
+tied one.
 
 The ``*_many`` variants vectorize one envelope evaluation per entry of
-``xs`` and refine only the single best basin per entry.  They are intended
-for objectives known to be unimodal (every use in this package is backed
-by a uniqueness argument: the stationarity condition is an injective
-denoiser evaluation, or the perturbed objective is convex).
+``xs`` and refine only the best grid basin per entry.  For a unimodal
+objective that is the global optimum.  Most uses in this package have a
+uniqueness argument (the stationarity condition is an injective denoiser
+evaluation, or the perturbed objective is convex); the inner lower envelope
+of ``cos 3y`` in the sandwich check is multimodal on purpose and relies on
+the dense grid putting the best grid point in the global basin.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -40,6 +47,13 @@ __all__ = [
 ]
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Golden section stops once a bracket is this narrow relative to its
+# magnitude; refined values within _TIE_TOL of the best count as tied; the
+# scalar search calls its optimizer converged when the central-difference
+# slope of the objective there is at most _STATIONARITY_TOL.
+_GOLDEN_TOL = 1e-13
+_TIE_TOL = 1e-9
+_STATIONARITY_TOL = 1e-5
 
 
 class EnvelopeUnboundedError(ValueError):
@@ -55,12 +69,11 @@ class ScalarFunction:
     """A scalar function of one real variable.
 
     ``eval`` must accept ndarray input elementwise and may return +inf
-    outside the function's effective domain.  ``grad``, when provided, is
-    used for stationarity checks.  ``domain`` clips the search interval.
+    outside the function's effective domain.  ``domain`` clips the search
+    interval.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray] | None = None
     domain: tuple[float, float] = (-math.inf, math.inf)
 
     def __post_init__(self):
@@ -86,112 +99,134 @@ class EnvelopeResult:
     candidates: tuple[float, ...] = field(default_factory=tuple)
 
 
-def _golden_min(obj: Callable[[float], float], a: float, b: float, tol: float = 1e-13):
-    """Golden-section minimum of ``obj`` on [a, b]."""
+def _objective(eval_fn, sign: float, gamma: float, ys: np.ndarray, xs) -> np.ndarray:
+    """sign*f(ys) + (ys - xs)^2 / (2 gamma), with NaN read as +inf.
+
+    ``f`` is evaluated first and the quadratic is built in place, so at most
+    three arrays of the size of ``ys`` are alive at once (the grid, ``f`` and
+    the result): the nested envelopes of the sandwich check pass grids of
+    tens of thousands of rows here.
+    """
+    f = np.asarray(eval_fn(ys.reshape(-1)), dtype=float).reshape(ys.shape)
+    q = ys - xs
+    q *= q
+    q /= 2.0 * gamma
+    if sign > 0:
+        q += f
+    else:
+        q -= f
+    q[np.isnan(q)] = np.inf
+    return q
+
+
+def _scan(eval_fn, sign, gamma, xs, grid_points, domain):
+    """Objective values on a uniform grid around each ``x`` (one row each).
+
+    The window is clipped to ``domain`` and widened fourfold while the best
+    grid point of some row sits on a window edge that is not a domain edge
+    (the optimum may lie outside the window); if widening never settles,
+    the objective is unbounded.  Returns ``(ys, vals)`` of shape
+    ``(len(xs), grid_points)``.
+    """
+    dom_lo, dom_hi = domain
+    radius = 20.0 * max(1.0, math.sqrt(gamma))
+    steps = np.arange(grid_points)
+    for _ in range(4):
+        lo = np.maximum(xs - radius, dom_lo)
+        hi = np.minimum(xs + radius, dom_hi)
+        # np.linspace(lo, hi, grid_points) row by row, built in place.
+        ys = steps * ((hi - lo) / (grid_points - 1))[:, None]
+        ys += lo[:, None]
+        ys[:, -1] = hi
+        vals = _objective(eval_fn, sign, gamma, ys, xs[:, None])
+        if not np.isfinite(vals).any(axis=1).all():
+            raise ValueError("objective is non-finite on the entire search grid")
+        best = np.argmin(vals, axis=1)
+        at_edge = ((best == 0) & (lo > dom_lo)) | ((best == grid_points - 1) & (hi < dom_hi))
+        if not at_edge.any():
+            return ys, vals
+        radius *= 4.0
+    raise EnvelopeUnboundedError(
+        f"envelope objective at x={float(xs[at_edge][0])!r} keeps improving toward "
+        f"the search boundary (last window radius {radius / 4.0!r}); it is "
+        "unbounded or needs an explicit domain"
+    )
+
+
+def _brackets(ys: np.ndarray, rows: np.ndarray, idx: np.ndarray):
+    """The grid neighbours of ``ys[rows, idx]``, clipped to the grid."""
+    return ys[rows, np.maximum(idx - 1, 0)], ys[rows, np.minimum(idx + 1, ys.shape[1] - 1)]
+
+
+def _golden(eval_fn, sign, gamma, a: np.ndarray, b: np.ndarray, xs: np.ndarray):
+    """Row-wise golden-section minimum of the objective at ``xs`` on [a, b].
+
+    Each step keeps the surviving interior point and its value, so it costs
+    one objective evaluation.  A row stops once its bracket is no wider than
+    ``_GOLDEN_TOL`` relative to its magnitude, and then leaves the working
+    arrays.  Returns ``(argmin, min)``.
+    """
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
-    fc, fd = obj(c), obj(d)
-    for _ in range(200):
-        if (b - a) <= tol * max(1.0, abs(a), abs(b)):
+    both = _objective(eval_fn, sign, gamma, np.concatenate([c, d]), np.concatenate([xs, xs]))
+    fc, fd = np.split(both, 2)
+    y, v = np.empty_like(a), np.empty_like(a)
+    rows = np.arange(a.size)
+    for step in range(201):
+        # max(|a|, |b|) == max(-a, b) because a <= b; every row stops by step 200
+        done = ((b - a) <= _GOLDEN_TOL * np.maximum(1.0, np.maximum(-a, b))) | (step == 200)
+        if done.any():
+            take_c = fc[done] <= fd[done]
+            y[rows[done]] = np.where(take_c, c[done], d[done])
+            v[rows[done]] = np.where(take_c, fc[done], fd[done])
+            a, b, c, d, fc, fd, xs, rows = (z[~done] for z in (a, b, c, d, fc, fd, xs, rows))
+        if rows.size == 0:
             break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = obj(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = obj(d)
-    y = c if fc <= fd else d
-    return y, min(fc, fd)
+        left = fc <= fd  # the minimum is in [a, d]: d becomes the new b
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        new = np.where(left, b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a))
+        fnew = _objective(eval_fn, sign, gamma, new, xs)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, fnew, fd), np.where(left, fc, fnew)
+    return y, v
 
 
-def _search(
-    f: ScalarFunction,
-    gamma: float,
-    x: float,
-    sign: float,
-    grid_points: int,
-    radius: float | None,
-    seeds: Sequence[float],
-    stationarity_tol: float,
-    tie_tol: float,
-) -> EnvelopeResult:
-    """Minimize sign*f(y) + (y-x)^2/(2 gamma) over the domain of f."""
+def _points(gamma: float, xs, grid_points: int) -> np.ndarray:
+    """Validated settings; the envelope points as a flat float array."""
     if not (np.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gamma must be finite and > 0, got {gamma!r}")
-    if not np.isfinite(x):
-        raise ValueError("envelope point must be finite")
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
-    radius = radius if radius is not None else 20.0 * max(1.0, math.sqrt(gamma))
-    dom_lo, dom_hi = f.domain
+    flat = np.asarray(xs, dtype=float).reshape(-1)
+    if not np.isfinite(flat).all():
+        raise ValueError("envelope point must be finite")
+    return flat
 
-    def objective(ys):
-        ys = np.asarray(ys, dtype=float)
-        vals = sign * np.asarray(f.eval(ys), dtype=float) + (ys - x) ** 2 / (2.0 * gamma)
-        return np.where(np.isnan(vals), np.inf, vals)
 
-    # Grid pass, expanding the radius while the best point sits on a search
-    # edge that is not a domain edge (the optimum may lie outside the
-    # window; if expansion never settles, the objective is unbounded).
-    for _ in range(4):
-        lo = max(x - radius, dom_lo)
-        hi = min(x + radius, dom_hi)
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError("search window is unbounded; provide a finite domain or radius")
-        ys = np.linspace(lo, hi, grid_points)
-        vals = objective(ys)
-        if not np.isfinite(vals).any():
-            raise ValueError("objective is non-finite on the entire search grid")
-        best = int(np.argmin(vals))
-        at_lo_edge = best == 0 and lo > dom_lo
-        at_hi_edge = best == grid_points - 1 and hi < dom_hi
-        if not (at_lo_edge or at_hi_edge):
-            break
-        radius *= 4.0
-    else:
-        raise EnvelopeUnboundedError(
-            f"envelope objective at x={x!r} keeps improving toward the search "
-            f"boundary (last window radius {radius / 4.0!r}); it is unbounded "
-            "or needs an explicit domain"
-        )
+def _search(f: ScalarFunction, gamma: float, x: float, sign: float, grid_points: int) -> EnvelopeResult:
+    """Minimize sign*f(y) + (y-x)^2/(2 gamma) over the domain of f."""
+    xs = _points(gamma, x, grid_points)
+    ys, vals = _scan(f.eval, sign, gamma, xs, grid_points, f.domain)
 
-    # Candidate basins: every grid-local minimum, plus clipped-domain ends.
-    interior = np.zeros(grid_points, dtype=bool)
-    interior[1:-1] = (vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])
-    idxs = list(np.flatnonzero(interior))
-    if vals[0] <= vals[1]:
-        idxs.append(0)
-    if vals[-1] <= vals[-2]:
-        idxs.append(grid_points - 1)
-
-    spacing = ys[1] - ys[0]
-
-    def scalar_obj(y: float) -> float:
-        return float(objective(np.array([y]))[0])
-
-    refined: list[tuple[float, float]] = []
-    for i in idxs:
-        if not np.isfinite(vals[i]):
-            continue
-        a = ys[max(i - 1, 0)]
-        b = ys[min(i + 1, grid_points - 1)]
-        refined.append(_golden_min(scalar_obj, a, b))
-    for seed in seeds:
-        if not (dom_lo < seed < dom_hi):
-            continue
-        a = max(seed - spacing, dom_lo)
-        b = min(seed + spacing, dom_hi)
-        refined.append(_golden_min(scalar_obj, a, b))
-
-    refined = [(y, v) for y, v in refined if np.isfinite(v)]
-    if not refined:
+    # Candidate basins: every finite grid-local minimum, plus clipped-domain
+    # ends; all of them are refined together, one golden-section row each.
+    v = vals[0]
+    basin = np.zeros(grid_points, dtype=bool)
+    basin[1:-1] = (v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])
+    basin[0] = v[0] <= v[1]
+    basin[-1] = v[-1] <= v[-2]
+    idx = np.flatnonzero(basin & np.isfinite(v))
+    rows = np.zeros_like(idx)
+    a, b = _brackets(ys, rows, idx)
+    refined_y, refined_v = _golden(f.eval, sign, gamma, a, b, xs[rows])
+    finite = np.isfinite(refined_v)
+    if not finite.any():
         raise ValueError("no finite envelope candidate found")
-    best_val = min(v for _, v in refined)
-    tied = sorted(y for y, v in refined if v <= best_val + tie_tol)
+    best_val = float(refined_v[finite].min())
+    tied = np.sort(refined_y[finite & (refined_v <= best_val + _TIE_TOL)])
     distinct: list[float] = []
-    for y in tied:
+    for y in tied.tolist():
         if not distinct or abs(y - distinct[-1]) > 1e-6 * max(1.0, abs(y)):
             distinct.append(y)
     argopt = distinct[0]
@@ -200,22 +235,18 @@ def _search(
     # position (values tie in floating point below that), so boundary
     # proximity must be judged at that resolution.
     def near(edge: float) -> bool:
-        return np.isfinite(edge) and abs(argopt - edge) <= 1e-7 * max(1.0, abs(edge))
+        return math.isfinite(edge) and abs(argopt - edge) <= 1e-7 * max(1.0, abs(edge))
 
-    on_boundary = near(dom_lo) or near(dom_hi)
+    on_boundary = near(f.domain[0]) or near(f.domain[1])
     if on_boundary:
         converged = True
     else:
-        if f.grad is not None:
-            slope = sign * float(f.grad(np.array([argopt]))) + (argopt - x) / gamma
-        else:
-            h = 1e-6 * max(1.0, abs(argopt))
-            slope = (scalar_obj(argopt + h) - scalar_obj(argopt - h)) / (2.0 * h)
-        converged = bool(abs(slope) <= stationarity_tol)
+        h = 1e-6 * max(1.0, abs(argopt))
+        up, down = _objective(f.eval, sign, gamma, np.array([argopt + h, argopt - h]), xs[0])
+        converged = bool(abs((up - down) / (2.0 * h)) <= _STATIONARITY_TOL)
 
-    value = best_val if sign > 0 else -best_val
     return EnvelopeResult(
-        value=value,
+        value=best_val if sign > 0 else -best_val,
         argopt=argopt,
         converged=converged,
         on_boundary=on_boundary,
@@ -223,34 +254,14 @@ def _search(
     )
 
 
-def lower_envelope(
-    f: ScalarFunction,
-    gamma: float,
-    x: float,
-    *,
-    grid_points: int = 2001,
-    radius: float | None = None,
-    seeds: Sequence[float] = (),
-    stationarity_tol: float = 1e-5,
-    tie_tol: float = 1e-9,
-) -> EnvelopeResult:
+def lower_envelope(f: ScalarFunction, gamma: float, x: float, *, grid_points: int = 2001) -> EnvelopeResult:
     """inf_y f(y) + (y - x)^2 / (2 gamma), with the minimizing y."""
-    return _search(f, gamma, x, 1.0, grid_points, radius, seeds, stationarity_tol, tie_tol)
+    return _search(f, gamma, x, 1.0, grid_points)
 
 
-def upper_envelope(
-    f: ScalarFunction,
-    gamma: float,
-    x: float,
-    *,
-    grid_points: int = 2001,
-    radius: float | None = None,
-    seeds: Sequence[float] = (),
-    stationarity_tol: float = 1e-5,
-    tie_tol: float = 1e-9,
-) -> EnvelopeResult:
+def upper_envelope(f: ScalarFunction, gamma: float, x: float, *, grid_points: int = 2001) -> EnvelopeResult:
     """sup_y f(y) - (y - x)^2 / (2 gamma), with the maximizing y."""
-    return _search(f, gamma, x, -1.0, grid_points, radius, seeds, stationarity_tol, tie_tol)
+    return _search(f, gamma, x, -1.0, grid_points)
 
 
 def prox(f: ScalarFunction, gamma: float, x: float, **kwargs) -> float:
@@ -276,91 +287,22 @@ def envelope_gradient(f: ScalarFunction, gamma: float, x: float, **kwargs) -> fl
 # -- vectorized single-basin variants -----------------------------------------
 
 
-def _envelope_many(eval_fn, gamma, xs, sign, grid_points, radius, seeds, golden_iters):
-    if not (np.isfinite(gamma) and gamma > 0.0):
-        raise ValueError(f"gamma must be finite and > 0, got {gamma!r}")
-    xs = np.asarray(xs, dtype=float)
-    flat = xs.reshape(-1)
-    radius = radius if radius is not None else 20.0 * max(1.0, math.sqrt(gamma))
-
-    def objective(ys):
-        vals = sign * np.asarray(eval_fn(ys), dtype=float) + (ys - flat) ** 2 / (2.0 * gamma)
-        return np.where(np.isnan(vals), np.inf, vals)
-
-    # Expand the window while any row's best grid point sits on an edge
-    # (the optimum lies outside it); persistent edge optima mean the
-    # objective is unbounded.
-    for _ in range(4):
-        offsets = np.linspace(-radius, radius, grid_points)
-        grid = flat[:, None] + offsets[None, :]
-        vals = sign * np.asarray(eval_fn(grid.reshape(-1)), dtype=float).reshape(grid.shape)
-        vals += (grid - flat[:, None]) ** 2 / (2.0 * gamma)
-        vals = np.where(np.isnan(vals), np.inf, vals)
-        best = np.argmin(vals, axis=1)
-        if not ((best == 0).any() or (best == grid_points - 1).any()):
-            break
-        radius *= 4.0
-    else:
-        raise EnvelopeUnboundedError(
-            "vectorized envelope kept finding its optimum on the search "
-            f"boundary (last window radius {radius / 4.0!r}); the objective "
-            "is unbounded or needs the scalar envelope with a domain"
-        )
-    rows = np.arange(flat.size)
-    a = grid[rows, best - 1]
-    b = grid[rows, best + 1]
-    y, v = _golden_bracket_min(objective, a, b, golden_iters)
-
-    if seeds is not None:
-        seeds = np.asarray(seeds, dtype=float).reshape(-1)
-        spacing = offsets[1] - offsets[0]
-        ok = np.isfinite(seeds)
-        sa = np.where(ok, seeds - spacing, a)
-        sb = np.where(ok, seeds + spacing, b)
-        y2, v2 = _golden_bracket_min(objective, sa, sb, golden_iters)
-        better = ok & (v2 < v)
-        y = np.where(better, y2, y)
-        v = np.where(better, v2, v)
-
+def _envelope_many(eval_fn, gamma, xs, sign, grid_points):
+    shape = np.shape(xs)
+    flat = _points(gamma, xs, grid_points)
+    ys, vals = _scan(eval_fn, sign, gamma, flat, grid_points, (-math.inf, math.inf))
+    a, b = _brackets(ys, np.arange(flat.size), np.argmin(vals, axis=1))
+    del ys, vals  # the golden section needs only the brackets
+    y, v = _golden(eval_fn, sign, gamma, a, b, flat)
     values = v if sign > 0 else -v
-    return values.reshape(xs.shape), y.reshape(xs.shape)
+    return values.reshape(shape), y.reshape(shape)
 
 
-def _golden_bracket_min(obj, a: np.ndarray, b: np.ndarray, iters: int):
-    """Plain vectorized golden section: two objective calls per iteration."""
-    for _ in range(iters):
-        c = b - _INV_GOLDEN * (b - a)
-        d = a + _INV_GOLDEN * (b - a)
-        take = obj(c) <= obj(d)
-        b = np.where(take, d, b)
-        a = np.where(take, a, c)
-    y = 0.5 * (a + b)
-    return y, obj(y)
+def lower_envelope_many(eval_fn, gamma: float, xs, *, grid_points: int = 501):
+    """Vectorized lower envelope, best grid basin per point; returns (values, argopts)."""
+    return _envelope_many(eval_fn, gamma, xs, 1.0, grid_points)
 
 
-def lower_envelope_many(
-    eval_fn,
-    gamma: float,
-    xs,
-    *,
-    grid_points: int = 501,
-    radius: float | None = None,
-    seeds=None,
-    golden_iters: int = 80,
-):
-    """Vectorized lower envelope for a unimodal objective; returns (values, argopts)."""
-    return _envelope_many(eval_fn, gamma, xs, 1.0, grid_points, radius, seeds, golden_iters)
-
-
-def upper_envelope_many(
-    eval_fn,
-    gamma: float,
-    xs,
-    *,
-    grid_points: int = 501,
-    radius: float | None = None,
-    seeds=None,
-    golden_iters: int = 80,
-):
-    """Vectorized upper envelope for a unimodal objective; returns (values, argopts)."""
-    return _envelope_many(eval_fn, gamma, xs, -1.0, grid_points, radius, seeds, golden_iters)
+def upper_envelope_many(eval_fn, gamma: float, xs, *, grid_points: int = 501):
+    """Vectorized upper envelope, best grid basin per point; returns (values, argopts)."""
+    return _envelope_many(eval_fn, gamma, xs, -1.0, grid_points)

@@ -176,9 +176,9 @@ class Regularizer:
 
     # -- envelope route ----------------------------------------------------------
 
-    def _envelope_values(self, xs: np.ndarray, seeds=None) -> np.ndarray:
+    def _envelope_values(self, xs: np.ndarray) -> np.ndarray:
         sigma2 = self.marginal.sigma2
-        vals, _ = moreau.upper_envelope_many(self.marginal.scalar_value, sigma2, xs, seeds=seeds)
+        vals, _ = moreau.upper_envelope_many(self.marginal.scalar_value, sigma2, xs)
         return sigma2 * vals - sigma2 * self.c_anchor
 
     def phi_envelope(self, x) -> PhiValue:
@@ -189,18 +189,20 @@ class Regularizer:
         return PhiValue(float(vals.sum()), Route.ENVELOPE, bool(in_image.all()))
 
     def phi_envelope_profile(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        """Per-point envelope values and in-image flags over a grid."""
+        """Per-point envelope values and in-image flags over a grid.
+
+        Inversion supplies only the flags; the envelope search reads f_Z
+        values alone, so it stays independent of the explicit route.
+        """
         xs = np.asarray(xs, dtype=float).reshape(-1)
-        ys, res, ok = self.denoiser.scalar_invert(xs, tol=_INVERT_TOL)
-        in_image = ok & (res <= _INVERT_TOL)
-        seeds = np.where(in_image, ys, np.nan)
-        return self._envelope_values(xs, seeds=seeds), in_image
+        _, res, ok = self.denoiser.scalar_invert(xs, tol=_INVERT_TOL)
+        return self._envelope_values(xs), ok & (res <= _INVERT_TOL)
 
     def phi_total(self, x) -> float:
         """Summed envelope-route value, the solver objective term.
 
-        Skips inversion entirely: no seeds, no image flags — the envelope
-        search stands on its own here.
+        Skips inversion entirely (no image flags): only the envelope
+        search runs.
         """
         xs, _ = _as_coords(x)
         return float(self._envelope_values(xs).sum())

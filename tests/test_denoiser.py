@@ -114,6 +114,31 @@ def test_far_targets_of_an_unbounded_image_are_bracketed():
     assert den.invert(1e7).in_image
 
 
+def test_bracket_ends_are_evaluated_once(monkeypatch):
+    # The start bracket x -+ 10 sigma already holds the preimage (D(y) =
+    # y / 1.25), so inversion evaluates each bracket end once and every
+    # later f_Z pass is a Newton step.
+    marg = make_marginal("gauss1", 0.25)
+    den = Denoiser(marg)
+    seen = []
+    scalar_f = marg.scalar_f
+
+    def counting(zs):
+        seen.append(np.array(zs, dtype=float))
+        return scalar_f(zs)
+
+    monkeypatch.setattr(marg, "scalar_f", counting)
+    x = 0.3
+    ys, res, ok = den.scalar_invert(np.array([x]))
+    assert ok.all() and res[0] <= 1e-10
+    assert ys[0] == pytest.approx(1.25 * x, rel=1e-12)
+    sigma = np.sqrt(marg.sigma2)
+    ends = [x - 10.0 * sigma, x + 10.0 * sigma]
+    assert [float(z[0]) for z in seen[:2]] == ends
+    newton = seen[2:]
+    assert newton and not any(float(z[0]) in ends for z in newton)
+
+
 def test_invert_rejects_bad_tolerance():
     den = Denoiser(make_marginal("gauss1", 1.0))
     with pytest.raises(ValueError):

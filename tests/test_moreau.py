@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mmseprox import moreau
 from mmseprox import (
     EnvelopeUnboundedError,
     MultivaluedProxError,
@@ -106,6 +109,19 @@ def test_domain_boundary():
     assert r.converged
     assert r.argopt == pytest.approx(1.0, abs=1e-6)
     assert r.value == pytest.approx(0.5, abs=1e-8)
+    # the domain clips the window; the interior optimum is still found
+    bounded = ScalarFunction(eval=np.abs, domain=(-2.0, 2.0))
+    assert lower_envelope(bounded, 1.0, 0.4).value == pytest.approx(0.08, abs=1e-10)
+
+
+def test_nonfinite_window_raises_the_same_error():
+    nowhere = lambda y: np.full(np.shape(y), np.nan)
+    with pytest.raises(ValueError) as scalar:
+        lower_envelope(ScalarFunction(eval=nowhere), 1.0, 0.0)
+    with pytest.raises(ValueError) as many:
+        lower_envelope_many(nowhere, 1.0, np.array([0.0]))
+    assert scalar.type is many.type is ValueError
+    assert str(scalar.value) == str(many.value)
 
 
 def test_validation_errors():
@@ -147,19 +163,100 @@ def test_vectorized_unbounded_raises():
         lower_envelope_many(lambda y: -np.asarray(y) ** 2, 1.0, np.array([0.0]))
 
 
-def test_seeds_are_consistent_and_filtered():
-    w = ScalarFunction(eval=lambda y: (np.asarray(y) ** 2 - 1.0) ** 2)
-    plain = lower_envelope(w, 1.0, 0.4)
-    seeded = lower_envelope(w, 1.0, 0.4, seeds=(plain.argopt, np.nan, 50.0))
-    assert seeded.value == pytest.approx(plain.value, abs=1e-12)
-    assert seeded.argopt == pytest.approx(plain.argopt, abs=1e-9)
-    bounded = ScalarFunction(eval=np.abs, domain=(-2.0, 2.0))
-    out_of_domain = lower_envelope(bounded, 1.0, 0.4, seeds=(5.0,))
-    assert out_of_domain.value == pytest.approx(0.08, abs=1e-10)
-
-
 def test_sandwich_identity_quadratic():
     xs = np.linspace(-2, 2, 9)
     inner = lambda ys: lower_envelope_many(lambda y: 0.5 * np.asarray(y) ** 2, 1.0, ys)[0]
     outer, _ = upper_envelope_many(inner, 1.0, xs)
     np.testing.assert_allclose(outer, 0.5 * xs**2, atol=1e-9)
+
+
+class _Counting:
+    """Wraps an objective and counts its calls and evaluated points."""
+
+    def __init__(self, fn):
+        self.fn, self.calls, self.points = fn, 0, 0
+
+    def __call__(self, ys):
+        self.calls += 1
+        self.points += np.size(ys)
+        return self.fn(ys)
+
+
+def test_vectorized_search_evaluation_budget():
+    # the grid plus one evaluation per golden step, about 60 steps
+    f = _Counting(lambda y: 0.25 * np.asarray(y) ** 2)
+    xs = np.linspace(-3.0, 3.0, 13)
+    upper_envelope_many(f, 1.0, xs)
+    assert f.points / xs.size <= 501 + 70
+
+
+def test_scalar_basins_share_each_golden_step():
+    # two basins are refined as two rows of one golden section, so the
+    # double well costs no more calls than a search with a single basin
+    well = _Counting(lambda y: (np.asarray(y) ** 2 - 1.0) ** 2)
+    assert len(lower_envelope(ScalarFunction(eval=well), 1.0, 0.0).candidates) == 2
+    single = _Counting(lambda y: (np.asarray(y) - 0.5) ** 2)
+    assert lower_envelope(ScalarFunction(eval=single), 1.0, 0.0).argopt == pytest.approx(1.0 / 3.0, abs=1e-6)
+    assert well.calls <= single.calls
+
+
+def _golden_loop(obj, a, b, tol=1e-13):
+    """Reference: the scalar golden-section loop, one bracket at a time."""
+    g = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = obj(c), obj(d)
+    for _ in range(200):
+        if (b - a) <= tol * max(1.0, abs(a), abs(b)):
+            break
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = obj(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = obj(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
+def test_golden_rows_match_the_scalar_loop():
+    f = lambda y: np.cos(3.0 * np.asarray(y)) + 0.1 * np.asarray(y) ** 2
+    a = np.array([-2.0, -0.5, 0.3, 5.0, 100.0])
+    b = np.array([-1.0, 0.5, 0.31, 9.0, 100.5])
+    xs = np.array([0.0, 0.2, -1.0, 7.0, 100.0])
+    y, v = moreau._golden(f, 1.0, 0.7, a.copy(), b.copy(), xs)
+    for i in range(a.size):
+        obj = lambda t, x=xs[i]: float(moreau._objective(f, 1.0, 0.7, np.array([t]), x)[0])
+        assert (y[i], v[i]) == _golden_loop(obj, a[i], b[i])
+
+
+def _reals(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_reals(0.1, 3.0), m=_reals(-2.0, 2.0), gamma=_reals(0.25, 4.0), x=_reals(-5.0, 5.0))
+def test_absolute_value_envelope_is_huber(a, m, gamma, x):
+    f = lambda y: a * np.abs(np.asarray(y) - m)
+    d = x - m
+    soft = m + np.sign(d) * max(abs(d) - a * gamma, 0.0)
+    huber = d * d / (2.0 * gamma) if abs(d) <= a * gamma else a * abs(d) - 0.5 * a * a * gamma
+    r = lower_envelope(ScalarFunction(eval=f), gamma, x)
+    vals, args = lower_envelope_many(f, gamma, np.array([x]))
+    for value, argopt in ((r.value, r.argopt), (vals[0], args[0])):
+        assert value == pytest.approx(huber, abs=1e-9)
+        assert argopt == pytest.approx(soft, abs=1e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=_reals(-2.0, 0.5), gamma=_reals(0.25, 4.0), x=_reals(-3.0, 3.0))
+def test_quadratic_upper_envelope_closed_form(t, gamma, x):
+    q = t / gamma  # q * gamma = t < 1 keeps the envelope finite
+    f = lambda y: 0.5 * q * np.asarray(y) ** 2
+    argmax = x / (1.0 - t)
+    value = q * x * x / (2.0 * (1.0 - t))
+    r = upper_envelope(ScalarFunction(eval=f), gamma, x)
+    vals, args = upper_envelope_many(f, gamma, np.array([x]))
+    for got, argopt in ((r.value, r.argopt), (vals[0], args[0])):
+        assert got == pytest.approx(value, abs=1e-9)
+        assert argopt == pytest.approx(argmax, abs=1e-6)
