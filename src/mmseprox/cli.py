@@ -12,6 +12,12 @@ Subcommands map one-to-one onto experiments:
   certificate-suite     run the numerical certificate battery and emit a
                         deterministic PASS/FAIL report
 
+Only deblur has an [operator] section, and its one kind is conv2d (the
+library's other operators are not reachable from a config).  Only deblur
+reads prior.dimension, which must match the operator size when given; the
+scalar experiments reject it.  ``experiment.kind``, when set, must name the
+invoked subcommand, in any case and with ``_`` or ``-``.
+
 Config files are a strict flat key/value format with [section] headers,
 ``#`` comments, one ``key = value`` per line.  Unknown sections or keys,
 duplicate keys, and malformed values are all hard errors that name the
@@ -32,29 +38,19 @@ from . import moreau, pnp
 from .denoiser import Denoiser, QuadratureError
 from .marginal import Marginal, NoiseModel
 from .moreau import EnvelopeUnboundedError, MultivaluedProxError
-from .operators import (
-    CircularConv1D,
-    CircularConv2D,
-    DenseOperator,
-    Fidelity,
-    IdentityOperator,
-    PowerIterationError,
-    gaussian_blur_kernel,
-)
+from .operators import CircularConv2D, Fidelity, PowerIterationError, gaussian_blur_kernel
 from .prior import ComponentKind, MixturePrior
 from .regularizer import Regularizer, certify_weak_convexity
 from .textio import fmt17, fmt_bool, write_text
 
 __all__ = ["ConfigError", "parse_config", "run_experiment", "main"]
 
-_EXPERIMENTS = ("regularizer-recovery", "denoiser-check", "deblur", "certificate-suite")
-
 _SCHEMA = {
     "experiment": {"kind", "seed"},
     "prior": {"kinds", "weights", "locations", "scales", "dimension"},
     "noise": {"sigma2"},
     "grid": {"points", "half_width_scales"},
-    "operator": {"kind", "kernel", "height", "width", "length", "matrix_file", "measurement_sigma2"},
+    "operator": {"kind", "kernel", "height", "width", "measurement_sigma2"},
     "solver": {"max_iters", "init", "lambda", "record_objective"},
     "output": {"prefix"},
 }
@@ -69,9 +65,6 @@ class Config:
 
     def __init__(self, sections: dict[str, dict[str, tuple[str, int]]]):
         self.sections = sections
-
-    def has_section(self, name: str) -> bool:
-        return name in self.sections
 
     def require_section(self, name: str) -> None:
         if name not in self.sections:
@@ -193,13 +186,19 @@ def parse_config(text: str) -> Config:
 # -- model assembly ------------------------------------------------------------
 
 
-def _prior_from(cfg: Config) -> MixturePrior:
+def _prior_from(cfg: Config, dimension: int | None = None) -> MixturePrior:
+    """The configured prior: scalar, or separable over ``dimension`` (deblur).
+
+    Only deblur reads ``prior.dimension``; the scalar experiments reject it.
+    """
     cfg.require_section("prior")
+    entry = cfg.raw("prior", "dimension")
+    if dimension is None and entry is not None:
+        raise ConfigError(f"line {entry[1]}: prior.dimension is read only by deblur")
     kinds = cfg.get("prior", "kinds", _parse_str_list, required=True)
     weights = cfg.get("prior", "weights", _parse_float_list, required=True)
     locations = cfg.get("prior", "locations", _parse_float_list, required=True)
     scales = cfg.get("prior", "scales", _parse_float_list, required=True)
-    dimension = cfg.get("prior", "dimension", _parse_int)
     for k in kinds:
         if k not in ("gaussian", "laplace"):
             raise ConfigError(f"prior.kinds: unknown component kind {k!r}")
@@ -234,31 +233,15 @@ def _grid_from(cfg: Config, reg: Regularizer) -> np.ndarray:
     return reg.default_grid(points=points, half_width_scales=half_width)
 
 
-def _operator_from(cfg: Config):
+def _operator_from(cfg: Config) -> CircularConv2D:
     cfg.require_section("operator")
-    kind = cfg.get(
-        "operator", "kind", _parse_choice({"identity", "conv1d", "conv2d", "dense"}), required=True
-    )
+    cfg.get("operator", "kind", _parse_choice({"conv2d"}), required=True)
+    kernel = cfg.get("operator", "kernel", _parse_kernel, required=True)
+    h = cfg.get("operator", "height", _parse_int, required=True)
+    w = cfg.get("operator", "width", _parse_int, required=True)
     try:
-        if kind == "identity":
-            n = cfg.get("operator", "length", _parse_int, required=True)
-            return IdentityOperator(n)
-        if kind == "conv1d":
-            kernel = cfg.get("operator", "kernel", _parse_kernel, required=True)
-            n = cfg.get("operator", "length", _parse_int, required=True)
-            if kernel.shape[0] != 1:
-                raise ConfigError("operator.kernel for conv1d must be a single row")
-            return CircularConv1D(kernel[0], n)
-        if kind == "conv2d":
-            kernel = cfg.get("operator", "kernel", _parse_kernel, required=True)
-            h = cfg.get("operator", "height", _parse_int, required=True)
-            w = cfg.get("operator", "width", _parse_int, required=True)
-            return CircularConv2D(kernel, (h, w))
-        path = cfg.get("operator", "matrix_file", _parse_str, required=True)
-        return DenseOperator.from_text_file(path)
-    except (ValueError, OSError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        return CircularConv2D(kernel, (h, w))
+    except ValueError as exc:
         raise ConfigError(f"section [operator]: {exc}") from exc
 
 
@@ -340,20 +323,15 @@ def _write_grid_csv(path: Path, flat: np.ndarray, shape: tuple[int, int]) -> Non
 
 def _run_deblur(cfg: Config, prefix: Path, seed: int) -> int:
     op = _operator_from(cfg)
-    if not isinstance(op, CircularConv2D):
-        raise ConfigError("deblur needs operator.kind = conv2d")
     meas_sigma2 = cfg.get("operator", "measurement_sigma2", _parse_float, required=True)
     if meas_sigma2 <= 0:
         raise ConfigError("operator.measurement_sigma2 must be > 0")
 
-    prior = _prior_from(cfg)
     n = op.input_size
-    if prior.dimension is None:
-        prior = MixturePrior(prior.components, dimension=n)
-    elif prior.dimension != n:
-        raise ConfigError(
-            f"prior.dimension {prior.dimension} does not match operator size {n}"
-        )
+    dimension = cfg.get("prior", "dimension", _parse_int, default=n)
+    if dimension != n:
+        raise ConfigError(f"prior.dimension {dimension} does not match operator size {n}")
+    prior = _prior_from(cfg, n)
     den = Denoiser(Marginal(prior, _noise_from(cfg)))
     reg = Regularizer(den)
 
@@ -551,46 +529,32 @@ def _run_certificate_suite(cfg: Config, prefix: Path, seed: int) -> int:
     return 0 if overall else 2
 
 
-_RUNNERS = {
-    "regularizer-recovery": _run_regularizer_recovery,
-    "denoiser-check": _run_denoiser_check,
-    "deblur": _run_deblur,
-    "certificate-suite": _run_certificate_suite,
-}
-
-_REQUIRED_SECTIONS = {
-    "regularizer-recovery": ("prior", "noise"),
-    "denoiser-check": ("prior", "noise"),
-    "deblur": ("prior", "noise", "operator"),
-    "certificate-suite": ("prior", "noise"),
-}
-
-_KIND_ALIASES = {
-    "regularizer-recovery": "regularizer-recovery",
-    "regularizer_recovery": "regularizer-recovery",
-    "denoiser-check": "denoiser-check",
-    "denoiser_check": "denoiser-check",
-    "deblur": "deblur",
-    "certificate-suite": "certificate-suite",
-    "certificate_suite": "certificate-suite",
+# experiment name -> (runner, required sections); experiment.kind may also
+# spell a name in any case and with underscores for hyphens.
+_EXPERIMENTS = {
+    "regularizer-recovery": (_run_regularizer_recovery, ("prior", "noise")),
+    "denoiser-check": (_run_denoiser_check, ("prior", "noise")),
+    "deblur": (_run_deblur, ("prior", "noise", "operator")),
+    "certificate-suite": (_run_certificate_suite, ("prior", "noise")),
 }
 
 
 def run_experiment(command: str, cfg: Config, out: str | None, seed_override: int | None) -> int:
     kind = cfg.get("experiment", "kind", _parse_str)
     if kind is not None:
-        normalized = _KIND_ALIASES.get(kind.lower())
-        if normalized is None:
+        normalized = kind.lower().replace("_", "-")
+        if normalized not in _EXPERIMENTS:
             raise ConfigError(f"experiment.kind: unknown experiment {kind!r}")
         if normalized != command:
             raise ConfigError(
                 f"experiment.kind is {kind!r} but the {command!r} subcommand was invoked"
             )
-    for section in _REQUIRED_SECTIONS[command]:
+    runner, sections = _EXPERIMENTS[command]
+    for section in sections:
         cfg.require_section(section)
     seed = _seed_from(cfg, seed_override)
     prefix = _out_prefix(cfg, out)
-    return _RUNNERS[command](cfg, prefix, seed)
+    return runner(cfg, prefix, seed)
 
 
 def main(argv=None) -> int:

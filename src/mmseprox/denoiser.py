@@ -31,6 +31,10 @@ __all__ = ["Denoiser", "InversionResult", "QuadratureError"]
 # as outside the image of the denoiser.  Scaling with |x| keeps far targets
 # of a denoiser whose image is R (D(y) ~ c*y with c < 1) inside it.
 _BRACKET_HORIZON = 1e6
+# Newton steps of the inversion, and the relative accuracy asked of each
+# posterior-mean quadrature.
+_NEWTON_MAX_ITERS = 100
+_QUAD_EPSREL = 1e-10
 
 
 class QuadratureError(RuntimeError):
@@ -116,12 +120,10 @@ class Denoiser:
         comp_mean = (prior._sc**2 * zs[:, None] + s2 * prior._mu) / var
         return (resp * comp_mean).sum(axis=1)
 
-    def _posterior_integrals(self, z: float, shifted: bool, epsrel: float = 1e-10):
-        """Quadrature of the posterior integrand, peak-normalized.
-
-        Returns (numerator, denominator) where the numerator weight is
-        (x - z) when ``shifted`` (for conditioning) and x otherwise.
-        """
+    def _posterior_mean_quad(self, z: float) -> float:
+        """z + E[X - z | Z = z] by quadrature of the peak-normalized
+        posterior integrand; the shift by z keeps the numerator well
+        conditioned."""
         from scipy import integrate  # only priors with Laplace components get here
 
         prior = self.marginal.prior
@@ -139,21 +141,18 @@ class Denoiser:
         peak = float(log_post(probe).max())
 
         points = [p for p in {*kinks, z} if lo < p < hi]
-        opts = dict(points=sorted(points), limit=400, epsabs=1e-12, epsrel=epsrel)
+        opts = dict(points=sorted(points), limit=400, epsabs=1e-12, epsrel=_QUAD_EPSREL)
         inv_2s2 = 1.0 / (2.0 * self.sigma2)
 
         def log_post_f(x: float) -> float:
             return prior._log_pdf_float(x) - (x - z) * (x - z) * inv_2s2
-
-        def weight(x: float) -> float:
-            return (x - z) if shifted else x
 
         den, den_err, *den_info = integrate.quad(
             lambda x: math.exp(log_post_f(x) - peak), lo, hi,
             full_output=1, **opts,
         )
         num, num_err, *num_info = integrate.quad(
-            lambda x: weight(x) * math.exp(log_post_f(x) - peak), lo, hi,
+            lambda x: (x - z) * math.exp(log_post_f(x) - peak), lo, hi,
             full_output=1, **opts,
         )
         for label, err, info, ref in (("denominator", den_err, den_info, den),
@@ -164,17 +163,11 @@ class Denoiser:
                     f"{label} estimate {ref!r} with error bound {err!r}"
                     + (f"; {info[1]}" if len(info) > 1 else "")
                 )
-        return num, den
-
-    def _posterior_mean_quad(self, z: float) -> float:
-        num, den = self._posterior_integrals(z, shifted=True)
         return z + num / den
 
     # -- inversion ---------------------------------------------------------------
 
-    def scalar_invert(
-        self, xs, tol: float = 1e-10, max_iters: int = 100
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def scalar_invert(self, xs, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized inverse of the scalar denoiser.
 
         Returns ``(preimages, residuals, bracketed)``.  Coordinates whose
@@ -205,7 +198,7 @@ class Denoiser:
         y = 0.5 * (lo + hi)
         _, f1, f2 = self.marginal.scalar_f(y)
         fy = (y - self.sigma2 * f1) - xs
-        for _ in range(max_iters):
+        for _ in range(_NEWTON_MAX_ITERS):
             if np.all(np.abs(fy) <= tol):
                 break
             # Shrink the bracket around the root first so both the Newton

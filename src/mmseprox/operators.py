@@ -4,8 +4,7 @@ Operators act on flat 1-D vectors (2-D convolution reshapes internally),
 expose an exact adjoint, and estimate their operator norm by power
 iteration on A^T A.  The fidelity is value(x) = (lam/2)||Ax - y||^2 with
 gradient lam * A^T(Ax - y) and Lipschitz constant lam * ||A||^2; the
-``auto`` constructor picks lam so that the Lipschitz constant is a stated
-target below 1.
+``auto`` constructor picks lam so that the Lipschitz constant is 0.99.
 """
 
 from __future__ import annotations
@@ -22,6 +21,14 @@ __all__ = [
     "gaussian_blur_kernel",
     "Fidelity",
 ]
+
+
+# Power iteration stops once the A^T A eigenvalue estimate moves by at most
+# _NORM_TOL relative, and fails after _NORM_MAX_ITERS steps; Fidelity.auto
+# scales the fidelity to the Lipschitz constant _AUTO_LIPSCHITZ.
+_NORM_TOL = 1e-8
+_NORM_MAX_ITERS = 10_000
+_AUTO_LIPSCHITZ = 0.99
 
 
 class PowerIterationError(RuntimeError):
@@ -50,10 +57,8 @@ class LinearOperator:
     def adjoint(self, r) -> np.ndarray:
         raise NotImplementedError
 
-    def operator_norm(self, tol: float = 1e-8, max_iters: int = 10_000) -> float:
+    def operator_norm(self) -> float:
         """Spectral norm via power iteration on A^T A (cached)."""
-        if not (np.isfinite(tol) and tol > 0.0):
-            raise ValueError(f"tol must be > 0, got {tol!r}")
         if self._cached_norm is not None:
             return self._cached_norm
         n = self.input_size
@@ -62,19 +67,19 @@ class LinearOperator:
         v = np.ones(n) + 1e-3 * np.arange(n) / max(1, n - 1)
         v /= np.linalg.norm(v)
         lam = 0.0
-        for i in range(max_iters):
+        for _ in range(_NORM_MAX_ITERS):
             w = self.adjoint(self.apply(v))
             lam_next = float(np.linalg.norm(w))
             if lam_next == 0.0:
                 self._cached_norm = 0.0
                 return 0.0
             v = w / lam_next
-            if abs(lam_next - lam) <= tol * max(1.0, lam_next):
+            if abs(lam_next - lam) <= _NORM_TOL * max(1.0, lam_next):
                 self._cached_norm = float(np.sqrt(lam_next))
                 return self._cached_norm
             lam = lam_next
         raise PowerIterationError(
-            f"power iteration did not converge in {max_iters} iterations; "
+            f"power iteration did not converge in {_NORM_MAX_ITERS} iterations; "
             f"last eigenvalue estimates {lam!r} -> {lam_next!r}"
         )
 
@@ -204,14 +209,12 @@ class Fidelity:
         self.lam = float(lam)
 
     @classmethod
-    def auto(cls, op: LinearOperator, y, target: float = 0.99) -> "Fidelity":
-        """Scale so the gradient's Lipschitz constant equals ``target`` < 1."""
-        if not 0.0 < target < 1.0:
-            raise ValueError(f"target Lipschitz constant must be in (0, 1), got {target!r}")
+    def auto(cls, op: LinearOperator, y) -> "Fidelity":
+        """Scale so the gradient's Lipschitz constant is 0.99 < 1."""
         norm = op.operator_norm()
         if norm == 0.0:
             raise ValueError("operator norm is zero; the fidelity carries no information")
-        return cls(op, y, target / norm**2)
+        return cls(op, y, _AUTO_LIPSCHITZ / norm**2)
 
     def value(self, x) -> float:
         r = self.op.apply(x) - self.y

@@ -49,6 +49,10 @@ __all__ = [
 ]
 
 
+# Absolute slack added to every rate bound, so rounding cannot flag a violation.
+_RATE_TOL = 1e-9
+
+
 class Init(str, Enum):
     ZEROS = "zeros"
     OBSERVATION = "observation"
@@ -128,9 +132,10 @@ def run(
     cfg: SolverConfig,
     x0=None,
 ) -> SolverTrace:
-    """Iterate the scheme for cfg.max_iters steps and assemble the trace.
+    """Iterate the scheme for cfg.max_iters steps, recording each step.
 
-    ``x0`` overrides cfg.init with an explicit starting point.
+    ``x0`` overrides cfg.init with an explicit starting point.  Without
+    recorded objectives F is NaN, and so is every descent slack.
     """
     L = fid.lipschitz()
     if not L < 1.0:
@@ -140,6 +145,8 @@ def run(
         )
 
     def objective(x: np.ndarray) -> float:
+        if not cfg.record_objective:
+            return math.nan
         return fid.value(x) + reg.phi_total(x)
 
     if x0 is not None:
@@ -149,60 +156,37 @@ def run(
     else:
         x = _initial_point(fid, cfg.init)
     iterates = [x.copy()]
-    objectives = [objective(x)] if cfg.record_objective else None
-    residuals: list[float] = []
-    step_norms: list[float] = []
-
-    def partial_trace() -> SolverTrace:
-        return _assemble(iterates, objectives, residuals, step_norms, L)
+    records: list[IterRecord] = []
+    F = objective(x)
+    best = math.inf
 
     g = fid.grad(x)
-    for _ in range(cfg.max_iters):
+    for k in range(1, cfg.max_iters + 1):
         x_next = denoiser.apply(x - g)
         if not np.isfinite(x_next).all():
             raise DivergenceError(
-                f"iterate {len(iterates)} is non-finite", partial_trace()
+                f"iterate {k} is non-finite",
+                SolverTrace(records, iterates, iterates[-1], float(F), float(L)),
             )
         g_next = fid.grad(x_next)
-        residuals.append(float(np.linalg.norm((x - x_next) + g_next - g)))
-        step_norms.append(float(np.linalg.norm(x - x_next)))
-        if cfg.record_objective:
-            objectives.append(objective(x_next))
-        x, g = x_next, g_next
-        iterates.append(x.copy())
-
-    return _assemble(iterates, objectives, residuals, step_norms, L)
-
-
-def _assemble(iterates, objectives, residuals, step_norms, L: float) -> SolverTrace:
-    records = []
-    best = math.inf
-    for i, (res, step) in enumerate(zip(residuals, step_norms)):
+        res = float(np.linalg.norm((x - x_next) + g_next - g))
+        step = float(np.linalg.norm(x - x_next))
+        F_next = objective(x_next)
         best = min(best, res)
-        if objectives is not None:
-            f_here = objectives[i]
-            slack = objectives[i] - objectives[i + 1] - 0.5 * (1.0 - L) * step**2
-        else:
-            f_here = math.nan
-            slack = math.nan
         records.append(
             IterRecord(
-                k=i + 1,
-                objective_F=f_here,
+                k=k,
+                objective_F=F,
                 residual=res,
                 best_residual=best,
-                descent_slack=slack,
+                descent_slack=F - F_next - 0.5 * (1.0 - L) * step**2,
                 step_norm=step,
             )
         )
-    final_objective = objectives[-1] if objectives is not None else math.nan
-    return SolverTrace(
-        records=records,
-        iterates=iterates,
-        final_x=iterates[-1],
-        final_objective=float(final_objective),
-        lipschitz=float(L),
-    )
+        x, g, F = x_next, g_next, F_next
+        iterates.append(x.copy())
+
+    return SolverTrace(records, iterates, iterates[-1], float(F), float(L))
 
 
 def descent_check(trace: SolverTrace) -> list[float]:
@@ -212,7 +196,7 @@ def descent_check(trace: SolverTrace) -> list[float]:
     return [r.descent_slack for r in trace.records]
 
 
-def rate_certificate(trace: SolverTrace, tol: float = 1e-9) -> RateCertificate:
+def rate_certificate(trace: SolverTrace) -> RateCertificate:
     """Check the k^{-1/2} residual bound along a recorded trace."""
     K = len(trace.records)
     if K < 10:
@@ -226,7 +210,7 @@ def rate_certificate(trace: SolverTrace, tol: float = 1e-9) -> RateCertificate:
     gap = math.sqrt(max(F1 - Fstar, 0.0))
     violations = []
     for k in range(1, K):
-        bound = C * gap / math.sqrt(k) + tol
+        bound = C * gap / math.sqrt(k) + _RATE_TOL
         if trace.records[k - 1].best_residual > bound:
             violations.append(k)
     return RateCertificate(C=C, F1=F1, Fstar_estimate=Fstar, violations=tuple(violations))

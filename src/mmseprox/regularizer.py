@@ -43,10 +43,12 @@ __all__ = [
     "certify_weak_convexity",
 ]
 
-# Anchor point of the constant c, and the residual below which an inverted
-# point counts as inside the image of the denoiser.
+# Anchor point of the constant c, the residual below which an inverted
+# point counts as inside the image of the denoiser, and how far below zero
+# a second difference of phi + x^2/2 may sit and still certify.
 _ANCHOR = 0.0
 _INVERT_TOL = 1e-10
+_CONVEXITY_TOL = 1e-5
 
 
 class Route(str, Enum):
@@ -93,27 +95,27 @@ def _check_uniform_grid(grid: np.ndarray) -> float:
     return h
 
 
-def second_difference_report(values, spacing: float, tol: float = 1e-5) -> CertificateReport:
-    """Min central second difference of ``values`` on a uniform grid; PASS iff >= -tol."""
+def second_difference_report(values, spacing: float) -> CertificateReport:
+    """Min central second difference of ``values`` on a uniform grid; PASS iff >= -1e-5."""
     values = np.asarray(values, dtype=float)
     if values.size < 3:
         raise ValueError("need at least 3 grid values for a second difference")
     second = (values[:-2] - 2.0 * values[1:-1] + values[2:]) / spacing**2
     worst = float(second.min())
     return CertificateReport(
-        passed=bool(worst >= -tol),
+        passed=bool(worst >= -_CONVEXITY_TOL),
         min_second_difference=worst,
         points_used=int(values.size),
         spacing=float(spacing),
     )
 
 
-def certify_weak_convexity(eval_fn, grid, tol: float = 1e-5) -> CertificateReport:
+def certify_weak_convexity(eval_fn, grid) -> CertificateReport:
     """Certify 1-weak convexity of a raw scalar callable on a uniform grid."""
     grid = np.asarray(grid, dtype=float)
     h = _check_uniform_grid(grid)
     g = np.asarray(eval_fn(grid), dtype=float) + 0.5 * grid**2
-    return second_difference_report(g, h, tol)
+    return second_difference_report(g, h)
 
 
 class Regularizer:
@@ -153,9 +155,13 @@ class Regularizer:
 
     # -- explicit route ----------------------------------------------------------
 
-    def _explicit_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _invert(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Preimages under the denoiser and the flags of the points in its image."""
         ys, res, ok = self.denoiser.scalar_invert(xs, tol=_INVERT_TOL)
-        in_image = ok & (res <= _INVERT_TOL)
+        return ys, ok & (res <= _INVERT_TOL)
+
+    def _explicit_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ys, in_image = self._invert(xs)
         fz = self.marginal.scalar_value(ys)
         vals = -0.5 * (ys - xs) ** 2 + self.marginal.sigma2 * fz
         vals = np.where(in_image, vals, np.inf)
@@ -176,52 +182,50 @@ class Regularizer:
 
     # -- envelope route ----------------------------------------------------------
 
-    def _envelope_values(self, xs: np.ndarray) -> np.ndarray:
+    def _envelope_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sigma2 = self.marginal.sigma2
-        vals, _ = moreau.upper_envelope_many(self.marginal.scalar_value, sigma2, xs)
-        return sigma2 * vals - sigma2 * self.c_anchor
+        vals, maximizers = moreau.upper_envelope_many(self.marginal.scalar_value, sigma2, xs)
+        return sigma2 * vals - sigma2 * self.c_anchor, maximizers
 
     def phi_envelope(self, x) -> PhiValue:
         """Regularizer via the upper envelope of the marginal; finite
         wherever the envelope objective is bounded, including off-image."""
         xs, _ = _as_coords(x)
-        vals, in_image = self.phi_envelope_profile(xs)
+        vals, _ = self._envelope_values(xs)
+        _, in_image = self._invert(xs)
         return PhiValue(float(vals.sum()), Route.ENVELOPE, bool(in_image.all()))
 
     def phi_envelope_profile(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        """Per-point envelope values and in-image flags over a grid.
+        """Per-point envelope values and envelope maximizers over a grid.
 
-        Inversion supplies only the flags; the envelope search reads f_Z
-        values alone, so it stays independent of the explicit route.
+        The search reads f_Z values alone and never inverts the denoiser;
+        on the image of the denoiser the maximizer is its preimage.
         """
         xs = np.asarray(xs, dtype=float).reshape(-1)
-        _, res, ok = self.denoiser.scalar_invert(xs, tol=_INVERT_TOL)
-        return self._envelope_values(xs), ok & (res <= _INVERT_TOL)
+        return self._envelope_values(xs)
 
     def phi_total(self, x) -> float:
-        """Summed envelope-route value, the solver objective term.
-
-        Skips inversion entirely (no image flags): only the envelope
-        search runs.
-        """
+        """Summed envelope-route value, the solver objective term."""
         xs, _ = _as_coords(x)
-        return float(self._envelope_values(xs).sum())
+        vals, _ = self._envelope_values(xs)
+        return float(vals.sum())
 
     # -- certification -----------------------------------------------------------
 
-    def weak_convexity_certificate(self, grid, tol: float = 1e-5) -> CertificateReport:
+    def weak_convexity_certificate(self, grid) -> CertificateReport:
         """Second differences of phi_envelope + x^2/2 on the in-image part
-        of a uniform grid; PASS iff the minimum is >= -tol."""
+        of a uniform grid; PASS iff the minimum is >= -1e-5."""
         grid = np.asarray(grid, dtype=float)
         h = _check_uniform_grid(grid)
-        vals, in_image = self.phi_envelope_profile(grid)
+        vals, _ = self.phi_envelope_profile(grid)
+        _, in_image = self._invert(grid)
         idx = np.flatnonzero(in_image)
         if idx.size < 3:
             raise ValueError("fewer than 3 in-image grid points; widen or recenter the grid")
         if np.any(np.diff(idx) != 1):
             raise ValueError("in-image grid points are not contiguous; the grid straddles the image boundary irregularly")
         g = vals[idx] + 0.5 * grid[idx] ** 2
-        return second_difference_report(g, h, tol)
+        return second_difference_report(g, h)
 
     # -- grids and emission --------------------------------------------------------
 

@@ -41,6 +41,23 @@ def test_parse_config_round_trip():
     assert cfg.get("grid", "points", cli._parse_int, default=401) == 401
 
 
+@pytest.mark.parametrize("key", ["length", "matrix_file"])
+def test_operator_schema_is_conv2d_only(key):
+    with pytest.raises(ConfigError, match=rf"line 3: unknown key '{key}' in section \[operator\]"):
+        parse_config(f"[operator]\nkind = conv2d\n{key} = 16\n")
+
+
+def test_readme_config_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(block)
+    rc = cli.run_experiment("regularizer-recovery", cfg, str(tmp_path / "mix"), None)
+    assert rc == 0
+    lines = (tmp_path / "mix_curves.csv").read_text().splitlines()
+    assert lines[0] == "x,f_X,f_Z,phi_explicit,phi_envelope,in_image"
+    assert len(lines) == 402
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match=r"line 1: unknown section"):
         parse_config("[bogus]\n")
@@ -131,6 +148,47 @@ def test_kind_subcommand_mismatch(tmp_path, capsys):
     rc = cli.main(["deblur", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "subcommand" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, command, output",
+    [
+        ("denoiser_check", "denoiser-check", "o_denoiser.csv"),
+        ("REGULARIZER_RECOVERY", "regularizer-recovery", "o_curves.csv"),
+        ("certificate_suite", "certificate-suite", "o_certificates.txt"),
+    ],
+)
+def test_kind_spellings_dispatch(tmp_path, monkeypatch, kind, command, output):
+    for name in _SUITE_NAMES:
+        monkeypatch.setattr(cli, name, lambda *a: True)
+    text = DENOISER_CFG.replace("kind = denoiser-check", f"kind = {kind}").replace(
+        "points = 41", "points = 11"
+    )
+    path = write_config(tmp_path / "c.ini", text)
+    rc = cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert (tmp_path / output).exists()
+
+
+def test_kind_alias_mismatch_names_subcommand(tmp_path, capsys):
+    text = DENOISER_CFG.replace("kind = denoiser-check", "kind = certificate_suite")
+    path = write_config(tmp_path / "c.ini", text)
+    rc = cli.main(["denoiser-check", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "subcommand" in capsys.readouterr().err
+    assert not (tmp_path / "o_denoiser.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["denoiser-check", "regularizer-recovery", "certificate-suite"])
+def test_dimension_rejected_outside_deblur(tmp_path, capsys, command):
+    text = DENOISER_CFG.replace("kind = denoiser-check", "seed = 0").replace(
+        "scales = 1\n", "scales = 1\n    dimension = 4\n"
+    )
+    path = write_config(tmp_path / "c.ini", text)
+    rc = cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "prior.dimension" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_unknown_experiment_kind(tmp_path, capsys):
@@ -285,9 +343,17 @@ def test_deblur_requires_conv2d(tmp_path, capsys):
         sigma2 = 0.04
         [operator]
         kind = identity
-        length = 16
         """,
     )
+    rc = cli.main(["deblur", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "conv2d" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["dense", "conv1d"])
+def test_deblur_rejects_other_operator_kinds(tmp_path, capsys, kind):
+    path = deblur_config(tmp_path)
+    path.write_text(path.read_text().replace("kind = conv2d", f"kind = {kind}"))
     rc = cli.main(["deblur", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "conv2d" in capsys.readouterr().err

@@ -14,7 +14,7 @@ from mmseprox import (
     second_difference_report,
 )
 
-from conftest import make_marginal, make_prior
+from conftest import FIXTURE_NAMES, SIGMA2S, make_marginal, make_prior
 
 
 def make_reg(name: str, sigma2: float) -> Regularizer:
@@ -53,6 +53,33 @@ def test_routes_agree(marginal_case):
     assert in_image.all()  # mixture priors have image = R
     rel = np.abs(explicit - envelope) / np.maximum(1.0, np.abs(explicit))
     assert rel.max() <= 1e-8
+
+
+def test_envelope_route_never_inverts(monkeypatch):
+    reg = make_reg("gmix2", 1.0)
+    calls = []
+    original = Denoiser.scalar_invert
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Denoiser, "scalar_invert", counting)
+    values, maximizers = reg.phi_envelope_profile(reg.default_grid(points=21))
+    assert values.shape == maximizers.shape == (21,)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("sigma2", SIGMA2S)
+def test_envelope_maximizers_are_preimages(name, sigma2):
+    reg = make_reg(name, sigma2)
+    grid = reg.default_grid(points=401)
+    _, maximizers = reg.phi_envelope_profile(grid)
+    preimages, res, ok = reg.denoiser.scalar_invert(grid)
+    assert ok.all() and res.max() <= 1e-10
+    rel = np.abs(maximizers - preimages) / np.maximum(1.0, np.abs(preimages))
+    assert rel.max() <= 1e-6
 
 
 def test_anchor_constant_is_zero_and_anchor_free():
