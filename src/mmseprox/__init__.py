@@ -10,7 +10,7 @@ inverse problems and run proximal-gradient iterations with the denoiser as the
 proximal step; `cli` exposes config-driven experiments.
 """
 
-from .denoiser import Denoiser, InversionResult, QuadratureError
+from .denoiser import Denoiser, QuadratureError
 from .marginal import Marginal, NoiseModel
 from .moreau import (
     EnvelopeResult,
@@ -51,9 +51,7 @@ from .pnp import (
 from .prior import ComponentKind, MixtureComponent, MixturePrior
 from .regularizer import (
     CertificateReport,
-    PhiValue,
     Regularizer,
-    Route,
     certify_weak_convexity,
     second_difference_report,
 )
@@ -71,7 +69,6 @@ __all__ = [
     "Fidelity",
     "IdentityOperator",
     "Init",
-    "InversionResult",
     "IterRecord",
     "LinearOperator",
     "Marginal",
@@ -79,12 +76,10 @@ __all__ = [
     "MixturePrior",
     "MultivaluedProxError",
     "NoiseModel",
-    "PhiValue",
     "PowerIterationError",
     "QuadratureError",
     "RateCertificate",
     "Regularizer",
-    "Route",
     "ScalarFunction",
     "SolverConfig",
     "SolverTrace",

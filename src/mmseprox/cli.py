@@ -13,9 +13,9 @@ Subcommands map one-to-one onto experiments:
                         deterministic PASS/FAIL report
 
 Only deblur has an [operator] section, and its one kind is conv2d (the
-library's other operators are not reachable from a config).  Only deblur
-reads prior.dimension, which must match the operator size when given; the
-scalar experiments reject it.  ``experiment.kind``, when set, must name the
+library's other operators are not reachable from a config).  The prior is
+a scalar mixture in every experiment; deblur draws its ``height * width``
+pixels i.i.d. from it.  ``experiment.kind``, when set, must name the
 invoked subcommand, in any case and with ``_`` or ``-``.
 
 Config files are a strict flat key/value format with [section] headers,
@@ -47,7 +47,7 @@ __all__ = ["ConfigError", "parse_config", "run_experiment", "main"]
 
 _SCHEMA = {
     "experiment": {"kind", "seed"},
-    "prior": {"kinds", "weights", "locations", "scales", "dimension"},
+    "prior": {"kinds", "weights", "locations", "scales"},
     "noise": {"sigma2"},
     "grid": {"points", "half_width_scales"},
     "operator": {"kind", "kernel", "height", "width", "measurement_sigma2"},
@@ -186,15 +186,9 @@ def parse_config(text: str) -> Config:
 # -- model assembly ------------------------------------------------------------
 
 
-def _prior_from(cfg: Config, dimension: int | None = None) -> MixturePrior:
-    """The configured prior: scalar, or separable over ``dimension`` (deblur).
-
-    Only deblur reads ``prior.dimension``; the scalar experiments reject it.
-    """
+def _prior_from(cfg: Config) -> MixturePrior:
+    """The configured scalar mixture prior."""
     cfg.require_section("prior")
-    entry = cfg.raw("prior", "dimension")
-    if dimension is None and entry is not None:
-        raise ConfigError(f"line {entry[1]}: prior.dimension is read only by deblur")
     kinds = cfg.get("prior", "kinds", _parse_str_list, required=True)
     weights = cfg.get("prior", "weights", _parse_float_list, required=True)
     locations = cfg.get("prior", "locations", _parse_float_list, required=True)
@@ -208,7 +202,6 @@ def _prior_from(cfg: Config, dimension: int | None = None) -> MixturePrior:
             weights=weights,
             locations=locations,
             scales=scales,
-            dimension=dimension,
         )
     except ValueError as exc:
         raise ConfigError(f"section [prior]: {exc}") from exc
@@ -273,10 +266,7 @@ def _out_prefix(cfg: Config, override: str | None) -> Path:
         prefix = cfg.get("output", "prefix", _parse_str, required=False)
     if prefix is None:
         raise ConfigError("no output prefix: set [output] prefix or pass --out")
-    p = Path(prefix)
-    if p.parent and not p.parent.exists():
-        p.parent.mkdir(parents=True, exist_ok=True)
-    return p
+    return Path(prefix)
 
 
 def _seed_from(cfg: Config, override: int | None) -> int:
@@ -328,14 +318,11 @@ def _run_deblur(cfg: Config, prefix: Path, seed: int) -> int:
         raise ConfigError("operator.measurement_sigma2 must be > 0")
 
     n = op.input_size
-    dimension = cfg.get("prior", "dimension", _parse_int, default=n)
-    if dimension != n:
-        raise ConfigError(f"prior.dimension {dimension} does not match operator size {n}")
-    prior = _prior_from(cfg, n)
+    prior = _prior_from(cfg)
     den = Denoiser(Marginal(prior, _noise_from(cfg)))
     reg = Regularizer(den)
 
-    truth = np.asarray(prior.sample(1, seed=seed)).reshape(-1)
+    truth = prior.sample(n, seed=seed)
     noise = np.random.default_rng(seed + 1).standard_normal(n)
     y = op.apply(truth) + math.sqrt(meas_sigma2) * noise
 
@@ -358,7 +345,8 @@ def _run_deblur(cfg: Config, prefix: Path, seed: int) -> int:
 
 
 def _nested_prox_points(reg: Regularizer, zs: np.ndarray) -> np.ndarray:
-    """argmin_y phi_envelope(y) + (y-z)^2/2 for each z, by nested envelopes."""
+    """argmin_y phi(y) + (y-z)^2/2 for each z, by nested envelopes (phi by
+    its envelope route)."""
 
     def phi_values(ys):
         vals, _ = reg.phi_envelope_profile(ys)
@@ -471,17 +459,13 @@ def _suite_prox_consistency(reg: Regularizer, details: dict) -> bool:
 
 def _suite_solver_small(reg: Regularizer, seed: int, details: dict) -> bool:
     side = 12
-    prior = reg.marginal.prior
-    solver_prior = MixturePrior(prior.components, dimension=side * side)
-    den = Denoiser(Marginal(solver_prior, NoiseModel(reg.marginal.sigma2)))
-    solver_reg = Regularizer(den)
     op = CircularConv2D(gaussian_blur_kernel(3, 0.25), (side, side))
-    truth = np.asarray(solver_prior.sample(1, seed=seed)).reshape(-1)
+    truth = reg.marginal.prior.sample(side * side, seed=seed)
     noise = np.random.default_rng(seed + 1).standard_normal(side * side)
     y = op.apply(truth) + math.sqrt(0.04) * noise
     fid = Fidelity.auto(op, y)
     trace = pnp.run(
-        den, fid, solver_reg,
+        reg.denoiser, fid, reg,
         pnp.SolverConfig(max_iters=120, init=pnp.Init.ADJOINT_OBSERVATION),
     )
     slacks = pnp.descent_check(trace)

@@ -1,58 +1,45 @@
 """MMSE denoiser for Gaussian noise: the posterior mean E[X | Z = z].
 
-The primary evaluation route is the score identity
-``apply(z) = z - sigma2 * grad_f_z(z)``, which shares every digit with the
-marginal's evaluation pass.  ``posterior_mean`` recomputes the same
+Every map here acts elementwise on an array of any shape, one scalar
+denoising problem per entry.  The primary evaluation route is the score
+identity ``apply(z) = z - sigma2 * f_Z'(z)``, which shares every digit with
+the marginal's evaluation pass.  ``posterior_mean`` recomputes the same
 quantity from the Bayes integral instead (exact component responsibilities
 for all-Gaussian priors, adaptive quadrature otherwise) and exists so that
 the two independent routes can be checked against each other.
 
-``invert`` solves apply(y) = x for y.  The denoiser is strictly increasing
-coordinatewise (its derivative is the posterior variance over sigma2), so
-a bracket plus safeguarded Newton always converges when x lies in the
-image; bracket expansion failure is how points outside the image are
-detected.
+``scalar_invert`` solves apply(y) = x for y.  The denoiser is strictly
+increasing (its derivative is the posterior variance over sigma2), so a
+bracket plus safeguarded Newton always converges when x lies in the image;
+bracket expansion failure is how points outside the image are detected.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .marginal import Marginal
 from .prior import ComponentKind
 
-__all__ = ["Denoiser", "InversionResult", "QuadratureError"]
+__all__ = ["Denoiser", "QuadratureError"]
 
 # Bracket expansion gives up once the bracket is this many times
 # max(sigma, |x|) away from the target x; beyond it the target is treated
 # as outside the image of the denoiser.  Scaling with |x| keeps far targets
 # of a denoiser whose image is R (D(y) ~ c*y with c < 1) inside it.
 _BRACKET_HORIZON = 1e6
-# Newton steps of the inversion, and the relative accuracy asked of each
-# posterior-mean quadrature.
+# Newton steps of the inversion, the residual |apply(y) - x| at which a
+# point counts as solved (and, in the regularizer, as inside the image),
+# and the relative accuracy asked of each posterior-mean quadrature.
 _NEWTON_MAX_ITERS = 100
+INVERT_TOL = 1e-10
 _QUAD_EPSREL = 1e-10
 
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge to the requested accuracy."""
-
-
-@dataclass(frozen=True)
-class InversionResult:
-    """Solution of apply(preimage) = x.
-
-    ``residual`` is the largest coordinatewise |apply(preimage) - x|;
-    ``in_image`` reports whether every coordinate was bracketed and solved
-    to tolerance.
-    """
-
-    preimage: float | np.ndarray
-    residual: float
-    in_image: bool
 
 
 class Denoiser:
@@ -78,17 +65,9 @@ class Denoiser:
         return 1.0 - self.sigma2 * self.marginal.scalar_f(zs)[2]
 
     def apply(self, z):
-        """Denoise ``z`` via the score route (float in scalar mode)."""
-        arr, scalar = self.marginal._check_point(z)
-        out = self.scalar_apply(arr)
-        return float(out) if scalar else out
-
-    def jacobian(self, z):
-        """Jacobian of ``apply``: a float in scalar mode; the diagonal
-        vector of the (diagonal) Jacobian in separable mode."""
-        arr, scalar = self.marginal._check_point(z)
-        out = self.scalar_derivative(arr)
-        return float(out) if scalar else out
+        """Denoise ``z`` via the score route; a float for a scalar ``z``."""
+        out = self.scalar_apply(z)
+        return float(out) if out.ndim == 0 else out
 
     # -- Bayes-integral route --------------------------------------------------
 
@@ -99,14 +78,15 @@ class Denoiser:
         with Laplace components use adaptive quadrature of the posterior
         integral, normalized at its peak to keep the integrand O(1).
         """
-        arr, scalar = self.marginal._check_point(z)
-        flat = np.atleast_1d(arr)
-        prior = self.marginal.prior
-        if prior.is_all_gaussian:
+        zs = np.asarray(z, dtype=float)
+        if not np.all(np.isfinite(zs)):
+            raise ValueError("evaluation point must be finite")
+        flat = zs.reshape(-1)
+        if self.marginal.prior.is_all_gaussian:
             out = self._posterior_mean_gaussian(flat)
         else:
             out = np.array([self._posterior_mean_quad(float(zi)) for zi in flat])
-        return float(out[0]) if scalar else out
+        return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
     def _posterior_mean_gaussian(self, zs: np.ndarray) -> np.ndarray:
         prior = self.marginal.prior
@@ -167,14 +147,18 @@ class Denoiser:
 
     # -- inversion ---------------------------------------------------------------
 
-    def scalar_invert(self, xs, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized inverse of the scalar denoiser.
+    def scalar_invert(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Vectorized inverse of the denoiser.
 
-        Returns ``(preimages, residuals, bracketed)``.  Coordinates whose
-        bracket cannot be expanded to contain ``x`` within the horizon are
-        reported unbracketed; their preimage is the best bracket endpoint.
+        Returns ``(preimages, residuals, bracketed)``, each of the shape of
+        ``xs``.  Coordinates whose bracket cannot be expanded to contain
+        ``x`` within the horizon are reported unbracketed; their preimage is
+        the best bracket endpoint.  Each point is solved as if alone: it
+        leaves the Newton iteration once its residual is at most
+        ``INVERT_TOL``.
         """
-        xs = np.asarray(xs, dtype=float).copy()
+        shape = np.shape(xs)
+        xs = np.asarray(xs, dtype=float).reshape(-1)
         sigma = np.sqrt(self.sigma2)
         lo = xs - 10.0 * sigma
         hi = xs + 10.0 * sigma
@@ -196,10 +180,19 @@ class Denoiser:
 
         # One f_Z pass per Newton step gives both the residual and the slope.
         y = 0.5 * (lo + hi)
-        _, f1, f2 = self.marginal.scalar_f(y)
-        fy = (y - self.sigma2 * f1) - xs
-        for _ in range(_NEWTON_MAX_ITERS):
-            if np.all(np.abs(fy) <= tol):
+        preimages, residuals = np.empty_like(y), np.empty_like(y)
+        rows = np.arange(y.size)
+        for step in range(_NEWTON_MAX_ITERS + 1):
+            _, f1, f2 = self.marginal.scalar_f(y)
+            fy = (y - self.sigma2 * f1) - xs
+            done = (np.abs(fy) <= INVERT_TOL) | (step == _NEWTON_MAX_ITERS)
+            if done.any():
+                preimages[rows[done]] = y[done]
+                residuals[rows[done]] = np.abs(fy[done])
+                y, fy, f2, lo, hi, xs, rows = (
+                    z[~done] for z in (y, fy, f2, lo, hi, xs, rows)
+                )
+            if rows.size == 0:
                 break
             # Shrink the bracket around the root first so both the Newton
             # safeguard and the bisection fallback see the current bracket.
@@ -210,18 +203,4 @@ class Denoiser:
                 newton = y - fy / dy
             inside = (newton > lo) & (newton < hi) & np.isfinite(newton)
             y = np.where(inside, newton, 0.5 * (lo + hi))
-            _, f1, f2 = self.marginal.scalar_f(y)
-            fy = (y - self.sigma2 * f1) - xs
-        residuals = np.abs(fy)
-        return y, residuals, bracketed
-
-    def invert(self, x, tol: float = 1e-10) -> InversionResult:
-        """Solve apply(preimage) = x with a bracketed safeguarded Newton."""
-        if not (np.isfinite(tol) and tol > 0.0):
-            raise ValueError(f"tol must be > 0, got {tol!r}")
-        arr, scalar = self.marginal._check_point(x)
-        ys, res, ok = self.scalar_invert(np.atleast_1d(arr), tol=tol)
-        in_image = bool(ok.all() and (res <= tol).all())
-        if scalar:
-            return InversionResult(float(ys[0]), float(res[0]), in_image)
-        return InversionResult(ys, float(res.max()), in_image)
+        return preimages.reshape(shape), residuals.reshape(shape), bracketed.reshape(shape)

@@ -106,7 +106,7 @@ class Marginal:
     # -- shared evaluation pass --------------------------------------------
 
     def scalar_f(self, zs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Elementwise ``(f_Z, f_Z', f_Z'')`` of the scalar marginal."""
+        """Elementwise ``(f_Z, f_Z', f_Z'')`` on an array of any shape."""
         zs, flat = self._flatten(zs)
         terms, ratio_blocks = self._log_terms(flat)
         f, resp, norm = self._log_sum_exp(terms)
@@ -200,38 +200,3 @@ class Marginal:
             return r1[None, :], r2[None, :]
 
         return (logw + logq)[None, :], ratios
-
-    # -- public contract -----------------------------------------------------
-
-    def _check_point(self, z) -> tuple[np.ndarray, bool]:
-        arr = np.asarray(z, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("evaluation point must be finite")
-        if self.prior.dimension is None:
-            if arr.ndim != 0:
-                raise ValueError("scalar-mode marginal expects a scalar point")
-            return arr, True
-        if arr.shape != (self.prior.dimension,):
-            raise ValueError(
-                f"separable marginal expects a vector of length {self.prior.dimension}, "
-                f"got shape {arr.shape}"
-            )
-        return arr, False
-
-    def f_z(self, z) -> float:
-        """Negative log marginal density (sum over coordinates)."""
-        arr, _ = self._check_point(z)
-        return float(self.scalar_value(arr).sum())
-
-    def grad_f_z(self, z):
-        """Gradient of f_Z: a float in scalar mode, a vector otherwise."""
-        arr, scalar = self._check_point(z)
-        g = self.scalar_f(arr)[1]
-        return float(g) if scalar else g
-
-    def hess_f_z(self, z):
-        """Hessian of f_Z: a float in scalar mode; in separable mode the
-        Hessian is diagonal and only the diagonal vector is returned."""
-        arr, scalar = self._check_point(z)
-        h = self.scalar_f(arr)[2]
-        return float(h) if scalar else h

@@ -6,9 +6,10 @@ The lower envelope at parameter gamma is
 
 and the upper envelope is the sup with the quadratic subtracted.  Every
 envelope runs on one core: ``_scan`` evaluates the objective on a uniform
-grid around each x (widening the window while the optimum sits on its
-edge), and ``_golden`` refines grid brackets down to rounding by golden
-section, one row per bracket.
+grid around each x (widening, row by row, the windows whose optimum sits
+on an edge), and ``_golden`` refines grid brackets down to rounding by
+golden section, one row per bracket.  So each x gets the result it gets
+alone, however many points are asked for at once.
 
 The scalar ``lower_envelope`` / ``upper_envelope`` refine every grid-local
 optimum basin and keep the best refined candidate.  Near-ties (within
@@ -17,12 +18,13 @@ a multi-valued proximal map; the reported optimizer is always the smallest
 tied one.
 
 The ``*_many`` variants vectorize one envelope evaluation per entry of
-``xs`` and refine only the best grid basin per entry.  For a unimodal
-objective that is the global optimum.  Most uses in this package have a
-uniqueness argument (the stationarity condition is an injective denoiser
-evaluation, or the perturbed objective is convex); the inner lower envelope
-of ``cos 3y`` in the sandwich check is multimodal on purpose and relies on
-the dense grid putting the best grid point in the global basin.
+``xs``, one block of entries at a time, and refine only the best grid
+basin per entry.  For a unimodal objective that is the global optimum.
+Most uses in this package have a uniqueness argument (the stationarity
+condition is an injective denoiser evaluation, or the perturbed objective
+is convex); the inner lower envelope of ``cos 3y`` in the sandwich check is
+multimodal on purpose and relies on the dense grid putting the best grid
+point in the global basin.
 """
 
 from __future__ import annotations
@@ -54,6 +56,11 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1e-13
 _TIE_TOL = 1e-9
 _STATIONARITY_TOL = 1e-5
+# The vectorized envelopes scan at most this many grid entries at once, so
+# each (rows, grid_points) float array of a scan is about 8 MB however many
+# points are asked for (the nested envelopes of the sandwich check ask for
+# tens of thousands).
+_SCAN_ENTRIES = 2**20
 
 
 class EnvelopeUnboundedError(ValueError):
@@ -122,32 +129,40 @@ def _objective(eval_fn, sign: float, gamma: float, ys: np.ndarray, xs) -> np.nda
 def _scan(eval_fn, sign, gamma, xs, grid_points, domain):
     """Objective values on a uniform grid around each ``x`` (one row each).
 
-    The window is clipped to ``domain`` and widened fourfold while the best
-    grid point of some row sits on a window edge that is not a domain edge
-    (the optimum may lie outside the window); if widening never settles,
-    the objective is unbounded.  Returns ``(ys, vals)`` of shape
-    ``(len(xs), grid_points)``.
+    The window is clipped to ``domain``.  A row whose best grid point sits
+    on a window edge that is not a domain edge (the optimum may lie outside
+    the window) is scanned again on a window four times as wide; the other
+    rows keep their grid, so a row's grid does not depend on the rest of
+    ``xs``.  If widening never settles, the objective is unbounded.
+    Returns ``(ys, vals)`` of shape ``(len(xs), grid_points)``.
     """
     dom_lo, dom_hi = domain
     radius = 20.0 * max(1.0, math.sqrt(gamma))
     steps = np.arange(grid_points)
-    for _ in range(4):
-        lo = np.maximum(xs - radius, dom_lo)
-        hi = np.minimum(xs + radius, dom_hi)
+    rows = np.arange(xs.size)
+    for widening in range(4):
+        x = xs[rows]
+        lo = np.maximum(x - radius, dom_lo)
+        hi = np.minimum(x + radius, dom_hi)
         # np.linspace(lo, hi, grid_points) row by row, built in place.
-        ys = steps * ((hi - lo) / (grid_points - 1))[:, None]
-        ys += lo[:, None]
-        ys[:, -1] = hi
-        vals = _objective(eval_fn, sign, gamma, ys, xs[:, None])
-        if not np.isfinite(vals).any(axis=1).all():
+        grid = steps * ((hi - lo) / (grid_points - 1))[:, None]
+        grid += lo[:, None]
+        grid[:, -1] = hi
+        objective = _objective(eval_fn, sign, gamma, grid, x[:, None])
+        if not np.isfinite(objective).any(axis=1).all():
             raise ValueError("objective is non-finite on the entire search grid")
-        best = np.argmin(vals, axis=1)
+        if widening == 0:
+            ys, vals = grid, objective
+        else:
+            ys[rows], vals[rows] = grid, objective
+        best = np.argmin(objective, axis=1)
         at_edge = ((best == 0) & (lo > dom_lo)) | ((best == grid_points - 1) & (hi < dom_hi))
-        if not at_edge.any():
+        rows = rows[at_edge]
+        if rows.size == 0:
             return ys, vals
         radius *= 4.0
     raise EnvelopeUnboundedError(
-        f"envelope objective at x={float(xs[at_edge][0])!r} keeps improving toward "
+        f"envelope objective at x={float(xs[rows[0]])!r} keeps improving toward "
         f"the search boundary (last window radius {radius / 4.0!r}); it is "
         "unbounded or needs an explicit domain"
     )
@@ -290,10 +305,14 @@ def envelope_gradient(f: ScalarFunction, gamma: float, x: float, **kwargs) -> fl
 def _envelope_many(eval_fn, gamma, xs, sign, grid_points):
     shape = np.shape(xs)
     flat = _points(gamma, xs, grid_points)
-    ys, vals = _scan(eval_fn, sign, gamma, flat, grid_points, (-math.inf, math.inf))
-    a, b = _brackets(ys, np.arange(flat.size), np.argmin(vals, axis=1))
-    del ys, vals  # the golden section needs only the brackets
-    y, v = _golden(eval_fn, sign, gamma, a, b, flat)
+    y, v = np.empty_like(flat), np.empty_like(flat)
+    rows = max(1, _SCAN_ENTRIES // grid_points)
+    for start in range(0, flat.size, rows):
+        block = slice(start, start + rows)
+        ys, vals = _scan(eval_fn, sign, gamma, flat[block], grid_points, (-math.inf, math.inf))
+        a, b = _brackets(ys, np.arange(ys.shape[0]), np.argmin(vals, axis=1))
+        del ys, vals  # the golden section needs only the brackets
+        y[block], v[block] = _golden(eval_fn, sign, gamma, a, b, flat[block])
     values = v if sign > 0 else -v
     return values.reshape(shape), y.reshape(shape)
 

@@ -1,10 +1,11 @@
 """Finite scalar mixtures of Gaussian and Laplace components.
 
-A prior is either a distribution on the real line (scalar mode) or the
-i.i.d. product of that scalar mixture over ``dimension`` coordinates
-(separable mode).  All density work is done in log space with
-max-subtracted log-sum-exp so that evaluations stay finite far into the
-tails.
+A prior is a distribution on the real line.  Its density and every
+quantity derived from it act elementwise, so an array of any shape is a
+point of the i.i.d. product prior, one coordinate per entry; ``dimension``
+only sets the shape of a :meth:`MixturePrior.sample`.  All density work is
+done in log space with max-subtracted log-sum-exp so that evaluations stay
+finite far into the tails.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class MixtureComponent:
 
 @dataclass(frozen=True)
 class MixturePrior:
-    """Mixture of Gaussian/Laplace components, scalar or separable.
+    """Mixture of Gaussian/Laplace components.
 
     Parameters
     ----------
@@ -67,8 +68,8 @@ class MixturePrior:
         Non-empty sequence of :class:`MixtureComponent` whose weights sum
         to one (within 1e-12).
     dimension:
-        ``None`` for a scalar random variable; an integer ``n >= 1`` for
-        the separable product over ``n`` i.i.d. coordinates.
+        ``None`` to draw scalars; an integer ``n >= 1`` to draw vectors of
+        ``n`` i.i.d. coordinates from :meth:`sample`.
     """
 
     components: tuple[MixtureComponent, ...]
@@ -191,33 +192,13 @@ class MixturePrior:
         m = max(terms)
         return m + math.log(math.fsum(math.exp(t - m) for t in terms))
 
-    # -- public contract ---------------------------------------------------
-
-    def _check_point(self, x) -> np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("evaluation point must be finite")
-        if self.dimension is None:
-            if arr.ndim != 0:
-                raise ValueError("scalar-mode prior expects a scalar point")
-        else:
-            if arr.shape != (self.dimension,):
-                raise ValueError(
-                    f"separable prior expects a vector of length {self.dimension}, "
-                    f"got shape {arr.shape}"
-                )
-        return arr
-
-    def log_pdf(self, x) -> float:
-        """Log density at ``x`` (sum over coordinates in separable mode)."""
-        arr = self._check_point(x)
-        return float(self.scalar_log_pdf(arr).sum())
+    # -- sampling ----------------------------------------------------------
 
     def sample(self, n_samples: int, seed) -> np.ndarray:
         """Draw ``n_samples`` i.i.d. points; deterministic given ``seed``.
 
-        Returns shape ``(n_samples,)`` in scalar mode and
-        ``(n_samples, dimension)`` in separable mode.  Each draw picks a
+        Returns shape ``(n_samples,)`` when ``dimension`` is ``None`` and
+        ``(n_samples, dimension)`` otherwise.  Each draw picks a
         component from the categorical weight vector, then applies the
         component's location-scale map to a standard draw.
         """

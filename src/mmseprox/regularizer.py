@@ -1,21 +1,22 @@
 """The regularizer implicitly defined by the MMSE denoiser.
 
-Two independent evaluation routes are provided.  The explicit route
-inverts the denoiser and evaluates
+The prior is separable, so the regularizer is too: phi(x) = sum_i phi(x_i),
+and every map here acts on each coordinate.  Two independent evaluation
+routes are provided.  The explicit route inverts the denoiser and evaluates
 
-    phi_explicit(x) = -1/2 ||y - x||^2 + sigma2 * f_Z(y),   y = apply^{-1}(x),
+    phi(x) = -1/2 (y - x)^2 + sigma2 * f_Z(y),   y = apply^{-1}(x),
 
 which is finite exactly on the image of the denoiser (+inf elsewhere).
 The envelope route evaluates
 
-    phi_envelope(x) = sigma2 * U(x) - sigma2 * c,
+    phi(x) = sigma2 * U(x) - sigma2 * c,
 
 where U is the upper Moreau envelope of the marginal negative log density
 at parameter sigma2 and c is the anchor constant (analytically zero; kept
 as an honestly computed quantity so the identity is tested, not assumed).
 The two routes agree on the image of the denoiser; the envelope route is
 additionally finite off-image whenever the envelope objective is bounded,
-which is what makes it usable as a solver objective.
+which is what makes it usable as a solver objective (``phi_total``).
 
 Weak-convexity certification works on second differences of phi + x^2/2
 over a uniform grid; the same machinery is exposed for raw callables so a
@@ -26,44 +27,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from . import moreau
-from .denoiser import Denoiser
+from .denoiser import INVERT_TOL, Denoiser
 from .textio import fmt17, fmt_bool, write_text
 
 __all__ = [
-    "Route",
-    "PhiValue",
     "CertificateReport",
     "Regularizer",
     "second_difference_report",
     "certify_weak_convexity",
 ]
 
-# Anchor point of the constant c, the residual below which an inverted
-# point counts as inside the image of the denoiser, and how far below zero
-# a second difference of phi + x^2/2 may sit and still certify.
+# Anchor point of the constant c, and how far below zero a second
+# difference of phi + x^2/2 may sit and still certify.
 _ANCHOR = 0.0
-_INVERT_TOL = 1e-10
 _CONVEXITY_TOL = 1e-5
-
-
-class Route(str, Enum):
-    EXPLICIT = "explicit"
-    ENVELOPE = "envelope"
-
-
-@dataclass(frozen=True)
-class PhiValue:
-    """A regularizer evaluation: value, which route produced it, and
-    whether the point lies in the image of the denoiser."""
-
-    value: float
-    route: Route
-    in_image: bool
 
 
 @dataclass(frozen=True)
@@ -74,15 +55,6 @@ class CertificateReport:
     min_second_difference: float
     points_used: int
     spacing: float
-
-
-def _as_coords(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim > 1:
-        raise ValueError(f"expected a scalar or 1-D coordinate vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("coordinates must be finite")
-    return np.atleast_1d(arr), arr.ndim == 0
 
 
 def _check_uniform_grid(grid: np.ndarray) -> float:
@@ -157,8 +129,8 @@ class Regularizer:
 
     def _invert(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Preimages under the denoiser and the flags of the points in its image."""
-        ys, res, ok = self.denoiser.scalar_invert(xs, tol=_INVERT_TOL)
-        return ys, ok & (res <= _INVERT_TOL)
+        ys, res, ok = self.denoiser.scalar_invert(xs)
+        return ys, ok & (res <= INVERT_TOL)
 
     def _explicit_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ys, in_image = self._invert(xs)
@@ -166,14 +138,6 @@ class Regularizer:
         vals = -0.5 * (ys - xs) ** 2 + self.marginal.sigma2 * fz
         vals = np.where(in_image, vals, np.inf)
         return vals, in_image
-
-    def phi_explicit(self, x) -> PhiValue:
-        """Regularizer via denoiser inversion; +inf outside the image."""
-        xs, _ = _as_coords(x)
-        vals, in_image = self._explicit_values(xs)
-        if not in_image.all():
-            return PhiValue(math.inf, Route.EXPLICIT, False)
-        return PhiValue(float(vals.sum()), Route.EXPLICIT, True)
 
     def phi_explicit_profile(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Per-point explicit values and in-image flags over a grid."""
@@ -187,14 +151,6 @@ class Regularizer:
         vals, maximizers = moreau.upper_envelope_many(self.marginal.scalar_value, sigma2, xs)
         return sigma2 * vals - sigma2 * self.c_anchor, maximizers
 
-    def phi_envelope(self, x) -> PhiValue:
-        """Regularizer via the upper envelope of the marginal; finite
-        wherever the envelope objective is bounded, including off-image."""
-        xs, _ = _as_coords(x)
-        vals, _ = self._envelope_values(xs)
-        _, in_image = self._invert(xs)
-        return PhiValue(float(vals.sum()), Route.ENVELOPE, bool(in_image.all()))
-
     def phi_envelope_profile(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Per-point envelope values and envelope maximizers over a grid.
 
@@ -205,9 +161,9 @@ class Regularizer:
         return self._envelope_values(xs)
 
     def phi_total(self, x) -> float:
-        """Summed envelope-route value, the solver objective term."""
-        xs, _ = _as_coords(x)
-        vals, _ = self._envelope_values(xs)
+        """Envelope-route phi summed over the coordinates of ``x``, the
+        solver objective term."""
+        vals, _ = self._envelope_values(np.asarray(x, dtype=float).reshape(-1))
         return float(vals.sum())
 
     # -- certification -----------------------------------------------------------

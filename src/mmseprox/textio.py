@@ -20,8 +20,11 @@ def fmt_bool(flag) -> str:
 
 
 def write_text(destination, text: str) -> None:
-    """Write ``text`` to a path or a file-like object."""
+    """Write ``text`` to a file-like object, or to a path whose parent
+    directory is created if missing."""
     if hasattr(destination, "write"):
         destination.write(text)
     else:
-        Path(destination).write_text(text, encoding="utf-8")
+        path = Path(destination)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")

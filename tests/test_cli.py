@@ -179,16 +179,35 @@ def test_kind_alias_mismatch_names_subcommand(tmp_path, capsys):
     assert not (tmp_path / "o_denoiser.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["denoiser-check", "regularizer-recovery", "certificate-suite"])
-def test_dimension_rejected_outside_deblur(tmp_path, capsys, command):
-    text = DENOISER_CFG.replace("kind = denoiser-check", "seed = 0").replace(
-        "scales = 1\n", "scales = 1\n    dimension = 4\n"
-    )
-    path = write_config(tmp_path / "c.ini", text)
-    rc = cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+@pytest.mark.parametrize(
+    "command", ["denoiser-check", "regularizer-recovery", "certificate-suite", "deblur"]
+)
+def test_dimension_is_an_unknown_key(tmp_path, capsys, command):
+    # Every experiment's prior is scalar; deblur takes its pixel count from
+    # the operator, so even the matching height * width = 64 is rejected.
+    if command == "deblur":
+        path = deblur_config(tmp_path)
+    else:
+        path = write_config(tmp_path / "c.ini", DENOISER_CFG.replace("kind = denoiser-check", "seed = 0"))
+    lines = path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("scales =")) + 1
+    path.write_text("\n".join(lines[:at] + ["dimension = 64"] + lines[at:]) + "\n")
+    rc = cli.main([command, "--config", str(path), "--out", str(tmp_path / "new" / "o")])
     assert rc == 1
-    assert "prior.dimension" in capsys.readouterr().err
+    assert f"line {at + 1}: unknown key 'dimension' in section [prior]" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_rejected_config_creates_no_output_directory(tmp_path, capsys):
+    bad = write_config(tmp_path / "bad.ini", DENOISER_CFG.replace("sigma2 = 0.25", "sigma2 = -1"))
+    rc = cli.main(["denoiser-check", "--config", str(bad), "--out", str(tmp_path / "new" / "o")])
+    assert rc == 1
+    assert "sigma2" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+    good = write_config(tmp_path / "good.ini", DENOISER_CFG)
+    rc = cli.main(["denoiser-check", "--config", str(good), "--out", str(tmp_path / "new" / "o")])
+    assert rc == 0
+    assert (tmp_path / "new" / "o_denoiser.csv").exists()
 
 
 def test_unknown_experiment_kind(tmp_path, capsys):
@@ -307,15 +326,6 @@ def test_deblur_runs_and_seed_changes_output(tmp_path, capsys):
     reseeded = (tmp_path / "c_trace.csv").read_bytes()
     assert repeat == (tmp_path / "a_trace.csv").read_bytes()
     assert reseeded != repeat
-
-
-def test_deblur_dimension_mismatch(tmp_path, capsys):
-    path = deblur_config(tmp_path)
-    text = path.read_text().replace("scales = 0.5, 0.5", "scales = 0.5, 0.5\ndimension = 5")
-    path.write_text(text)
-    rc = cli.main(["deblur", "--config", str(path), "--out", str(tmp_path / "o")])
-    assert rc == 1
-    assert "does not match" in capsys.readouterr().err
 
 
 def test_deblur_ragged_kernel(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
-from mmseprox import Denoiser, Marginal, MixturePrior, NoiseModel
+from mmseprox import Denoiser, Marginal, MixturePrior, NoiseModel, denoiser
 
 from conftest import make_marginal, make_prior
 from test_marginal import ORACLE, ORACLE_ZS
@@ -77,13 +77,46 @@ def test_inversion_round_trip(marginal_case):
     den = Denoiser(marg)
     zs = np.linspace(-8, 8, 33)
     xs = den.scalar_apply(zs)
-    ys, res, ok = den.scalar_invert(xs, tol=1e-10)
+    ys, res, ok = den.scalar_invert(xs)
     assert ok.all()
     assert res.max() <= 1e-10
     np.testing.assert_allclose(ys, zs, atol=1e-7)
-    result = den.invert(float(xs[3]))
-    assert result.in_image
-    assert result.preimage == pytest.approx(zs[3], abs=1e-7)
+    y, r, one_ok = den.scalar_invert(xs[3])
+    assert y.shape == r.shape == one_ok.shape == ()
+    assert one_ok and r <= 1e-10
+    assert y == pytest.approx(zs[3], abs=1e-7)
+
+
+def test_batch_inversion_solves_each_point_as_if_alone(monkeypatch):
+    # A point leaves the Newton iteration once solved, so its preimage does
+    # not depend on the batch, and the batch takes no more Newton passes
+    # than its slowest point does alone.
+    marg = make_marginal("gmix2", 1.0)
+    den = Denoiser(marg)
+    xs = np.linspace(-12.0, 12.0, 501)
+    passes, bracket_passes = [], []
+    scalar_f, scalar_apply = marg.scalar_f, den.scalar_apply
+
+    def f_pass(zs):
+        passes.append(zs)
+        return scalar_f(zs)
+
+    def bracket_pass(zs):  # one f_Z pass of the bracket expansion
+        bracket_passes.append(zs)
+        return scalar_apply(zs)
+
+    monkeypatch.setattr(marg, "scalar_f", f_pass)
+    monkeypatch.setattr(den, "scalar_apply", bracket_pass)
+    ys, res, ok = den.scalar_invert(xs)
+    batch_passes, expansion = len(passes), len(bracket_passes)
+    assert ok.all() and res.max() <= 1e-10
+    single_passes = []
+    for i, x in enumerate(xs):
+        passes.clear()
+        y, r, _ = den.scalar_invert(np.array([x]))
+        single_passes.append(len(passes))
+        assert y[0] == ys[i] and r[0] == res[i], (float(x), float(y[0]), float(ys[i]))
+    assert batch_passes <= max(single_passes) + expansion
 
 
 def test_two_point_denoiser_is_tanh(two_point_denoiser):
@@ -111,7 +144,9 @@ def test_far_targets_of_an_unbounded_image_are_bracketed():
     assert ok.all()
     assert np.all(res <= 1e-10 * np.abs(xs))
     np.testing.assert_allclose(ys, 1.04 * xs, rtol=1e-12)
-    assert den.invert(1e7).in_image
+    # Alone, the far target meets the absolute residual of the in-image test.
+    _, r, one_ok = den.scalar_invert(1e7)
+    assert one_ok and r <= denoiser.INVERT_TOL
 
 
 def test_bracket_ends_are_evaluated_once(monkeypatch):
@@ -139,21 +174,30 @@ def test_bracket_ends_are_evaluated_once(monkeypatch):
     assert newton and not any(float(z[0]) in ends for z in newton)
 
 
-def test_invert_rejects_bad_tolerance():
-    den = Denoiser(make_marginal("gauss1", 1.0))
-    with pytest.raises(ValueError):
-        den.invert(0.5, tol=0.0)
-
-
 def test_separable_apply_matches_scalar():
+    # dimension shapes only a prior sample: apply is elementwise on any shape.
     prior = make_prior("gmix2", dimension=3)
     den = Denoiser(Marginal(prior, NoiseModel(0.25)))
     scalar_den = Denoiser(make_marginal("gmix2", 0.25))
-    z = np.array([-2.2, 0.1, 1.9])
-    np.testing.assert_allclose(den.apply(z), scalar_den.scalar_apply(z), rtol=1e-14)
-    np.testing.assert_allclose(den.jacobian(z), scalar_den.scalar_derivative(z), rtol=1e-14)
+    z = np.array([[-2.2, 0.1, 1.9], [0.4, -0.7, 3.0]])
+    assert np.array_equal(den.apply(z), scalar_den.scalar_apply(z))
+    assert np.array_equal(den.apply(z[0, :2]), scalar_den.scalar_apply(z[0, :2]))
+    assert type(den.apply(1.3)) is float
+    assert den.apply(1.3) == scalar_den.scalar_apply(np.array([1.3]))[0]
     with pytest.raises(ValueError):
-        den.apply(np.zeros(2))
+        den.apply(np.array([0.0, np.inf]))
+
+
+@pytest.mark.parametrize("name", ["gmix2", "laplace1"])
+def test_posterior_mean_is_elementwise_and_rejects_non_finite(name):
+    den = Denoiser(make_marginal(name, 0.25))
+    z = np.array([[-2.2, 0.1], [1.9, 0.4]])
+    pointwise = np.array([den.posterior_mean(float(v)) for v in z.reshape(-1)])
+    assert np.array_equal(den.posterior_mean(z), pointwise.reshape(z.shape))
+    assert type(den.posterior_mean(0.4)) is float
+    for bad in (np.nan, np.array([0.0, np.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            den.posterior_mean(bad)
 
 
 def test_posterior_mean_far_tail_laplace():

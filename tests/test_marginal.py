@@ -68,9 +68,20 @@ def test_public_accessors_match_scalar_f():
     marg = make_marginal("gmix2", 1.0)
     f, f1, f2 = marg.scalar_f(ORACLE_ZS)
     for i, z in enumerate(ORACLE_ZS):
-        assert marg.f_z(float(z)) == pytest.approx(f[i], rel=1e-14)
-        assert marg.grad_f_z(float(z)) == pytest.approx(f1[i], rel=1e-14)
-        assert marg.hess_f_z(float(z)) == pytest.approx(f2[i], rel=1e-14)
+        one = marg.scalar_f(float(z))
+        assert [v.shape for v in one] == [(), (), ()]
+        assert (one[0], one[1], one[2]) == (f[i], f1[i], f2[i])
+        assert marg.scalar_value(float(z)) == f[i]
+
+
+def test_scalar_f_acts_elementwise_on_any_shape(marginal_case):
+    _, _, marg = marginal_case
+    flat = np.linspace(-7.0, 7.0, 24)
+    grid = flat.reshape(2, 3, 4)
+    for got, want in zip(marg.scalar_f(grid), marg.scalar_f(flat)):
+        assert got.shape == grid.shape
+        assert np.array_equal(got, want.reshape(grid.shape))
+    assert np.array_equal(marg.scalar_value(grid), marg.scalar_value(flat).reshape(grid.shape))
 
 
 def test_derivatives_match_finite_differences(marginal_case):
@@ -103,20 +114,15 @@ def test_density_normalization(marginal_case):
 
 
 def test_separable_mode_sums():
+    # dimension shapes only a prior sample: f_Z of the product prior is the
+    # sum of the scalar f_Z over the coordinates, of any number of them.
     prior = make_prior("gmix2", dimension=4)
     marg = Marginal(prior, NoiseModel(1.0))
     scalar = make_marginal("gmix2", 1.0)
-    z = np.array([-3.1, 0.4, 2.2, 0.0])
-    assert marg.f_z(z) == pytest.approx(scalar.scalar_f(z)[0].sum(), rel=1e-13)
-    np.testing.assert_allclose(marg.grad_f_z(z), scalar.scalar_f(z)[1], rtol=1e-13)
-    with pytest.raises(ValueError):
-        marg.f_z(np.zeros(3))
-
-
-def test_scalar_mode_rejects_vectors():
-    marg = make_marginal("gauss1", 1.0)
-    with pytest.raises(ValueError):
-        marg.f_z(np.zeros(2))
+    for z in (np.array([-3.1, 0.4, 2.2, 0.0]), np.array([0.4, 2.2])):
+        for got, want in zip(marg.scalar_f(z), scalar.scalar_f(z)):
+            assert np.array_equal(got, want)
+        assert marg.scalar_value(z).sum() == scalar.scalar_f(z)[0].sum()
 
 
 # Grid in [-40, 40] plus both far tails.

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,46 @@ def test_vectorized_window_expansion():
 def test_vectorized_unbounded_raises():
     with pytest.raises(EnvelopeUnboundedError):
         lower_envelope_many(lambda y: -np.asarray(y) ** 2, 1.0, np.array([0.0]))
+
+
+def test_blocked_scan_matches_one_block(monkeypatch):
+    xs = np.linspace(-6.0, 6.0, 97)
+    wavy = lambda y: np.cos(3.0 * np.asarray(y)) + 0.1 * np.asarray(y) ** 2
+    whole = [lower_envelope_many(wavy, 1.0, xs), upper_envelope_many(np.cos, 1.0, xs)]
+    monkeypatch.setattr(moreau, "_SCAN_ENTRIES", 7 * 501)  # 14 blocks, the last partial
+    blocked = [lower_envelope_many(wavy, 1.0, xs), upper_envelope_many(np.cos, 1.0, xs)]
+    for (v0, y0), (v1, y1) in zip(whole, blocked):
+        assert np.array_equal(v0, v1) and np.array_equal(y0, y1)
+
+
+def test_only_rows_at_a_window_edge_widen(monkeypatch):
+    # f(y) = -30 max(y, 0): for x > -15 the prox is x + 30, outside the
+    # first window [x - 20, x + 20], so those rows widen; for x < -15 it is
+    # x itself.  (Just above -15 the single-basin search misses the far
+    # optimum, as the window never reaches it.)  Shuffled, every block of four
+    # mixes both kinds of row; each point gets the result it gets alone.
+    ramp = lambda y: -30.0 * np.maximum(np.asarray(y), 0.0)
+    xs = np.random.default_rng(3).permutation(np.r_[-40.5:-20.0:1.0, -12.5:10.0:1.0])
+    whole = lower_envelope_many(ramp, 1.0, xs)
+    alone = np.array([lower_envelope_many(ramp, 1.0, xs[i : i + 1]) for i in range(xs.size)])
+    monkeypatch.setattr(moreau, "_SCAN_ENTRIES", 4 * 501)  # 11 blocks
+    blocked = lower_envelope_many(ramp, 1.0, xs)
+    for result in (whole, blocked):
+        assert np.array_equal(result[0], alone[:, 0, 0]) and np.array_equal(result[1], alone[:, 1, 0])
+    np.testing.assert_allclose(whole[1], np.where(xs > -15.0, xs + 30.0, xs), atol=1e-6)
+
+
+def test_vectorized_scan_memory_is_bounded():
+    # 61 x 501 points, what the inner envelopes of the sandwich check get at
+    # once: one unblocked scan would hold three 122 MB arrays.
+    xs = np.linspace(-3.0, 3.0, 30561)
+    tracemalloc.start()
+    try:
+        lower_envelope_many(np.cos, 1.0, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_sandwich_identity_quadratic():

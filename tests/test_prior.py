@@ -89,16 +89,13 @@ def test_sampling_is_seeded():
 
 
 def test_separable_mode():
+    # dimension sets the shape of a sample and nothing else: one draw of
+    # n coordinates is n scalar draws, bit for bit.
     p = make_prior("gmix2", dimension=5)
     draws = p.sample(3, seed=0)
     assert draws.shape == (3, 5)
-    x = draws[0]
-    assert p.log_pdf(x) == pytest.approx(p.scalar_log_pdf(x).sum(), rel=1e-12)
-    with pytest.raises(ValueError):
-        p.log_pdf(np.zeros(4))
-
-
-def test_scalar_mode_rejects_vectors():
-    p = make_prior("gauss1")
-    with pytest.raises(ValueError):
-        p.log_pdf(np.zeros(3))
+    assert np.array_equal(p.scalar_log_pdf(draws), p.scalar_log_pdf(draws.reshape(-1)).reshape(3, 5))
+    scalar = make_prior("gmix2")
+    for seed in (0, 1, 7, 123):
+        one = MixturePrior(scalar.components, dimension=144).sample(1, seed)
+        assert np.array_equal(one, scalar.sample(144, seed)[None, :])

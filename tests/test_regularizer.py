@@ -9,7 +9,6 @@ from mmseprox import (
     MixturePrior,
     NoiseModel,
     Regularizer,
-    Route,
     certify_weak_convexity,
     second_difference_report,
 )
@@ -26,11 +25,13 @@ def test_unit_gaussian_closed_form():
     # penalty works out to x^2/2 + log(4 pi)/2 exactly.
     reg = make_reg("gauss1", 1.0)
     expected = 0.5 + 0.5 * math.log(4 * math.pi)
-    for phi in (reg.phi_explicit(1.0), reg.phi_envelope(1.0)):
-        assert phi.value == pytest.approx(expected, abs=1e-9)
-        assert phi.in_image
-    assert reg.phi_explicit(1.0).route is Route.EXPLICIT
-    assert reg.phi_envelope(1.0).route is Route.ENVELOPE
+    explicit, in_image = reg.phi_explicit_profile(1.0)
+    envelope, _ = reg.phi_envelope_profile(1.0)
+    assert in_image.all()
+    for phi in (explicit, envelope):
+        assert phi.shape == (1,)
+        assert phi[0] == pytest.approx(expected, abs=1e-9)
+    assert reg.phi_total(1.0) == envelope[0]
 
 
 def test_gaussian_closed_form_large_noise():
@@ -140,9 +141,9 @@ def test_two_point_fixture_bounded_image(two_point_denoiser):
     direct = -0.5 * (ys - inside) ** 2 + f
     np.testing.assert_allclose(explicit, direct, atol=1e-7)
 
-    outside = reg.phi_explicit(1.5)
-    assert not outside.in_image
-    assert math.isinf(outside.value)
+    outside, in_image = reg.phi_explicit_profile([1.5])
+    assert not in_image[0]
+    assert math.isinf(outside[0])
 
     cert = reg.weak_convexity_certificate(inside)
     assert cert.passed
@@ -154,8 +155,12 @@ def test_phi_total_sums_coordinates():
     vec_reg = Regularizer(Denoiser(Marginal(prior, NoiseModel(1.0))))
     x = np.array([-2.3, 0.2, 1.8, 4.0])
     total = vec_reg.phi_total(x)
+    assert total == float(vec_reg.phi_envelope_profile(x)[0].sum())
+    assert vec_reg.phi_total(x.reshape(2, 2)) == total
     per_coord = sum(scalar_reg.phi_total(float(v)) for v in x)
     assert total == pytest.approx(per_coord, rel=1e-10)
+    with pytest.raises(ValueError, match="finite"):
+        vec_reg.phi_total(np.array([0.0, np.nan]))
 
 
 def test_default_grid_shape():
