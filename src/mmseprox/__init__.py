@@ -5,9 +5,9 @@ The core chain: a scalar mixture prior (`prior`) is smoothed by Gaussian noise
 into a marginal (`marginal`); the marginal's score gives the posterior-mean
 denoiser (`denoiser`); inverting the denoiser recovers the penalty the
 denoiser is the proximal operator of (`regularizer`), with one-dimensional
-Moreau envelope machinery in `moreau`; `operators` and `pnp` assemble linear
-inverse problems and run proximal-gradient iterations with the denoiser as the
-proximal step; `cli` exposes config-driven experiments.
+Moreau envelope machinery in `moreau`; `operators` and `pnp` pose circular
+deblurring problems and run proximal-gradient iterations with the denoiser as
+the proximal step; `cli` exposes config-driven experiments.
 """
 
 from .denoiser import Denoiser, QuadratureError
@@ -24,16 +24,7 @@ from .moreau import (
     upper_envelope,
     upper_envelope_many,
 )
-from .operators import (
-    CircularConv1D,
-    CircularConv2D,
-    DenseOperator,
-    Fidelity,
-    IdentityOperator,
-    LinearOperator,
-    PowerIterationError,
-    gaussian_blur_kernel,
-)
+from .operators import CircularConv2D, Fidelity, gaussian_blur_kernel
 from .pnp import (
     DivergenceError,
     Init,
@@ -45,7 +36,6 @@ from .pnp import (
     psnr,
     rate_certificate,
     run,
-    stationarity_residual,
     write_trace_csv,
 )
 from .prior import ComponentKind, MixtureComponent, MixturePrior
@@ -58,25 +48,20 @@ from .regularizer import (
 
 __all__ = [
     "CertificateReport",
-    "CircularConv1D",
     "CircularConv2D",
     "ComponentKind",
-    "DenseOperator",
     "Denoiser",
     "DivergenceError",
     "EnvelopeResult",
     "EnvelopeUnboundedError",
     "Fidelity",
-    "IdentityOperator",
     "Init",
     "IterRecord",
-    "LinearOperator",
     "Marginal",
     "MixtureComponent",
     "MixturePrior",
     "MultivaluedProxError",
     "NoiseModel",
-    "PowerIterationError",
     "QuadratureError",
     "RateCertificate",
     "Regularizer",
@@ -94,7 +79,6 @@ __all__ = [
     "rate_certificate",
     "run",
     "second_difference_report",
-    "stationarity_residual",
     "upper_envelope",
     "upper_envelope_many",
     "write_trace_csv",

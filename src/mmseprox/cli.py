@@ -12,11 +12,11 @@ Subcommands map one-to-one onto experiments:
   certificate-suite     run the numerical certificate battery and emit a
                         deterministic PASS/FAIL report
 
-Only deblur has an [operator] section, and its one kind is conv2d (the
-library's other operators are not reachable from a config).  The prior is
-a scalar mixture in every experiment; deblur draws its ``height * width``
-pixels i.i.d. from it.  ``experiment.kind``, when set, must name the
-invoked subcommand, in any case and with ``_`` or ``-``.
+Only deblur has an [operator] section.  Its one kind is conv2d, the
+library's one operator (a circular 2-D blur).  The prior is a scalar
+mixture in every experiment; deblur draws its ``height * width`` pixels
+i.i.d. from it.  ``experiment.kind``, when set, must name the invoked
+subcommand, in any case and with ``_`` or ``-``.
 
 Config files are a strict flat key/value format with [section] headers,
 ``#`` comments, one ``key = value`` per line.  Unknown sections or keys,
@@ -38,7 +38,7 @@ from . import moreau, pnp
 from .denoiser import Denoiser, QuadratureError
 from .marginal import Marginal, NoiseModel
 from .moreau import EnvelopeUnboundedError, MultivaluedProxError
-from .operators import CircularConv2D, Fidelity, PowerIterationError, gaussian_blur_kernel
+from .operators import CircularConv2D, Fidelity, gaussian_blur_kernel
 from .prior import ComponentKind, MixturePrior
 from .regularizer import Regularizer, certify_weak_convexity
 from .textio import fmt17, fmt_bool, write_text
@@ -569,7 +569,6 @@ def main(argv=None) -> int:
         QuadratureError,
         EnvelopeUnboundedError,
         MultivaluedProxError,
-        PowerIterationError,
         pnp.DivergenceError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -41,7 +41,6 @@ __all__ = [
     "RateCertificate",
     "DivergenceError",
     "run",
-    "stationarity_residual",
     "descent_check",
     "rate_certificate",
     "psnr",
@@ -105,20 +104,10 @@ class DivergenceError(RuntimeError):
         self.trace = trace
 
 
-def stationarity_residual(fid: Fidelity, x_prev: np.ndarray, x_next: np.ndarray) -> float:
-    """Norm of a vector known to lie in the composite subdifferential at x_next."""
-    w = (x_prev - x_next) + fid.grad(x_next) - fid.grad(x_prev)
-    return float(np.linalg.norm(w))
-
-
 def _initial_point(fid: Fidelity, init: Init) -> np.ndarray:
     if init == Init.ZEROS:
         return np.zeros(fid.op.input_size)
     if init == Init.OBSERVATION:
-        if fid.op.input_size != fid.op.output_size:
-            raise ValueError(
-                "observation init needs a square operator; use adjoint_observation"
-            )
         return fid.y.copy()
     if init == Init.ADJOINT_OBSERVATION:
         return fid.op.adjoint(fid.y)

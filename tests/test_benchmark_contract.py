@@ -27,9 +27,22 @@ def test_tracer_wraps_and_restores_every_name():
 
 @pytest.mark.parametrize("name", ["deblur-32-objective", "deblur-256-plain"])
 def test_deblur_workloads_pass_their_gates(name, tmp_path):
+    # Runs traced, as a traced benchmark run does: every expected span must
+    # be reached (its span_hit gate), e.g. operator_norm on the class the
+    # tracer wraps, and the gradient must cost two FFTs.
     w = workloads.toy(workloads.WORKLOADS[name])
     config = tmp_path / "cfg.ini"
     config.write_text(w.config(3, str(tmp_path / "w")), encoding="utf-8")
-    code = cli.main([w.command, "--config", str(config)])
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        code = cli.main([w.command, "--config", str(config)])
+    finally:
+        tracer.restore()
+    assert tracer.restored()
     gates, _ = workloads.check(w, tmp_path, code)
     assert gates and all(ok for _, ok in gates), gates
+    summary = tracing.summarize(tracer.spans)
+    missed = [s for s in w.expected_spans if summary["totals"].get(s, {}).get("calls", 0) < 1]
+    assert not missed, missed
+    assert summary["derived"]["operators.ffts_per_grad"] == 2

@@ -328,16 +328,39 @@ def test_deblur_runs_and_seed_changes_output(tmp_path, capsys):
     assert reseeded != repeat
 
 
-def test_deblur_ragged_kernel(tmp_path, capsys):
-    path = deblur_config(tmp_path)
+def set_kernel(path: Path, kernel: str) -> Path:
     text = "\n".join(
-        "kernel = 1, 2; 3" if line.startswith("kernel =") else line
+        f"kernel = {kernel}" if line.startswith("kernel =") else line
         for line in path.read_text().splitlines()
     )
     path.write_text(text + "\n")
+    return path
+
+
+def test_deblur_ragged_kernel(tmp_path, capsys):
+    path = set_kernel(deblur_config(tmp_path), "1, 2; 3")
     rc = cli.main(["deblur", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "operator.kernel" in capsys.readouterr().err
+
+
+def test_deblur_difference_kernel_converges(tmp_path, capsys):
+    # outer([-1, 1], [-1, 1]) annihilates the k = 0 and l = 0 Fourier axes;
+    # lambda = auto must still scale by its true norm 4 and keep L < 1
+    path = set_kernel(deblur_config(tmp_path, side=16), "1, -1; -1, 1")
+    rc = cli.main(["deblur", "--config", str(path), "--out", str(tmp_path / "d")])
+    assert rc == 0, capsys.readouterr().err
+    cols = np.genfromtxt(tmp_path / "d_trace.csv", delimiter=",", skip_header=1)
+    assert np.isfinite(cols).all()
+    best = cols[:, 3]
+    assert best[-1] < 0.5 * best[0]
+
+
+def test_deblur_zero_kernel_rejected(tmp_path, capsys):
+    path = set_kernel(deblur_config(tmp_path), "0, 0; 0, 0")
+    rc = cli.main(["deblur", "--config", str(path), "--out", str(tmp_path / "z")])
+    assert rc == 1
+    assert "operator norm is zero" in capsys.readouterr().err
 
 
 def test_deblur_requires_conv2d(tmp_path, capsys):

@@ -8,7 +8,6 @@ from mmseprox import (
     Denoiser,
     DivergenceError,
     Fidelity,
-    IdentityOperator,
     Init,
     Marginal,
     MixturePrior,
@@ -20,9 +19,13 @@ from mmseprox import (
     psnr,
     rate_certificate,
     run,
-    stationarity_residual,
     write_trace_csv,
 )
+
+
+def identity(n: int) -> CircularConv2D:
+    """A unit 1x1 kernel on a one-row image: the identity operator."""
+    return CircularConv2D(np.ones((1, 1)), (1, n))
 
 
 def unit_gauss_model(n: int):
@@ -56,7 +59,7 @@ def test_scalar_worked_example():
     # lam = 1/2, y = 0, started from x = 1: the first step lands exactly on
     # 0.25 and its stationarity residual is 0.375
     den, reg = unit_gauss_model(1)
-    fid = Fidelity(IdentityOperator(1), np.zeros(1), 0.5)
+    fid = Fidelity(identity(1), np.zeros(1), 0.5)
     cfg = SolverConfig(max_iters=12, init=Init.ZEROS)
     trace = run(den, fid, reg, cfg, x0=np.array([1.0]))
     assert trace.iterates[0][0] == pytest.approx(1.0, abs=0.0)  # start point is kept
@@ -66,14 +69,6 @@ def test_scalar_worked_example():
     # x_{k+1} = x_k/4 from here on
     assert trace.iterates[2][0] == pytest.approx(0.0625, abs=1e-14)
     assert trace.lipschitz == pytest.approx(0.5, rel=1e-9)
-
-
-def test_stationarity_residual_formula():
-    den, _ = unit_gauss_model(1)
-    fid = Fidelity(IdentityOperator(1), np.zeros(1), 0.5)
-    x_prev, x_next = np.array([1.0]), np.array([0.25])
-    expected = abs((1.0 - 0.25) + (0.5 * 0.25 - 0.5 * 1.0))
-    assert stationarity_residual(fid, x_prev, x_next) == pytest.approx(expected, abs=1e-14)
 
 
 def test_monotone_descent_and_rate():
@@ -119,33 +114,11 @@ def test_init_modes():
     np.testing.assert_allclose(t0.iterates[1], z0, atol=1e-12)
     # the start points themselves differ: observation vs back-projected observation
     assert not np.allclose(t1.iterates[0], t2.iterates[0])
-    den1, reg1 = unit_gauss_model(4)
-    rect = Fidelity(DummyRect(), np.zeros(3), 0.1)
-    with pytest.raises(ValueError):
-        run(den1, rect, reg1, SolverConfig(max_iters=1, init=Init.OBSERVATION))
-
-
-class DummyRect:
-    """Non-square operator stub: 4 -> 3 truncation."""
-
-    input_size = 4
-    output_size = 3
-
-    def apply(self, x):
-        return np.asarray(x, dtype=float)[:3]
-
-    def adjoint(self, r):
-        out = np.zeros(4)
-        out[:3] = np.asarray(r, dtype=float)
-        return out
-
-    def operator_norm(self):
-        return 1.0
 
 
 def test_lipschitz_at_least_one_rejected():
     den, reg = unit_gauss_model(2)
-    fid = Fidelity(IdentityOperator(2), np.zeros(2), 1.0)  # L = 1.0
+    fid = Fidelity(identity(2), np.zeros(2), 1.0)  # L = 1.0
     with pytest.raises(ValueError, match="[Ll]ipschitz"):
         run(den, fid, reg, SolverConfig(max_iters=3))
 
@@ -166,7 +139,7 @@ def test_divergence_reports_partial_trace():
                 return np.full_like(z, np.nan)
             return 0.5 * z
 
-    fid = Fidelity(IdentityOperator(2), np.ones(2), 0.5)
+    fid = Fidelity(identity(2), np.ones(2), 0.5)
     with pytest.raises(DivergenceError, match="non-finite") as excinfo:
         run(BlowupDenoiser(), fid, reg, SolverConfig(max_iters=10), x0=np.array([0.3, -0.2]))
     partial = excinfo.value.trace
