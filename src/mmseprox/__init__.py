@@ -16,7 +16,6 @@ from .moreau import (
     EnvelopeResult,
     EnvelopeUnboundedError,
     MultivaluedProxError,
-    ScalarFunction,
     envelope_gradient,
     lower_envelope,
     lower_envelope_many,
@@ -43,7 +42,6 @@ from .regularizer import (
     CertificateReport,
     Regularizer,
     certify_weak_convexity,
-    second_difference_report,
 )
 
 __all__ = [
@@ -65,7 +63,6 @@ __all__ = [
     "QuadratureError",
     "RateCertificate",
     "Regularizer",
-    "ScalarFunction",
     "SolverConfig",
     "SolverTrace",
     "certify_weak_convexity",
@@ -78,7 +75,6 @@ __all__ = [
     "psnr",
     "rate_certificate",
     "run",
-    "second_difference_report",
     "upper_envelope",
     "upper_envelope_many",
     "write_trace_csv",

@@ -41,7 +41,7 @@ from .moreau import EnvelopeUnboundedError, MultivaluedProxError
 from .operators import CircularConv2D, Fidelity, gaussian_blur_kernel
 from .prior import ComponentKind, MixturePrior
 from .regularizer import Regularizer, certify_weak_convexity
-from .textio import fmt17, fmt_bool, write_text
+from .textio import csv_text, fmt17, write_text
 
 __all__ = ["ConfigError", "parse_config", "run_experiment", "main"]
 
@@ -188,7 +188,6 @@ def parse_config(text: str) -> Config:
 
 def _prior_from(cfg: Config) -> MixturePrior:
     """The configured scalar mixture prior."""
-    cfg.require_section("prior")
     kinds = cfg.get("prior", "kinds", _parse_str_list, required=True)
     weights = cfg.get("prior", "weights", _parse_float_list, required=True)
     locations = cfg.get("prior", "locations", _parse_float_list, required=True)
@@ -208,7 +207,6 @@ def _prior_from(cfg: Config) -> MixturePrior:
 
 
 def _noise_from(cfg: Config) -> NoiseModel:
-    cfg.require_section("noise")
     sigma2 = cfg.get("noise", "sigma2", _parse_float, required=True)
     try:
         return NoiseModel(sigma2)
@@ -227,7 +225,6 @@ def _grid_from(cfg: Config, reg: Regularizer) -> np.ndarray:
 
 
 def _operator_from(cfg: Config) -> CircularConv2D:
-    cfg.require_section("operator")
     cfg.get("operator", "kind", _parse_choice({"conv2d"}), required=True)
     kernel = cfg.get("operator", "kernel", _parse_kernel, required=True)
     h = cfg.get("operator", "height", _parse_int, required=True)
@@ -292,23 +289,16 @@ def _run_denoiser_check(cfg: Config, prefix: Path, seed: int) -> int:
     reg = Regularizer(den)
     grid = _grid_from(cfg, reg)
     tweedie = den.scalar_apply(grid)
-    oracle = np.array([den.posterior_mean(float(z)) for z in grid])
+    oracle = den.posterior_mean(grid)
     err = np.abs(tweedie - oracle)
-    lines = ["z,psi_tweedie,psi_oracle,abs_err"]
-    for i in range(grid.size):
-        lines.append(
-            ",".join((fmt17(grid[i]), fmt17(tweedie[i]), fmt17(oracle[i]), fmt17(err[i])))
-        )
     out = Path(f"{prefix}_denoiser.csv")
-    write_text(out, "\n".join(lines) + "\n")
+    write_text(out, csv_text("z,psi_tweedie,psi_oracle,abs_err", (grid, tweedie, oracle, err)))
     print(f"wrote {out} (max abs_err {err.max():.3e})")
     return 0
 
 
 def _write_grid_csv(path: Path, flat: np.ndarray, shape: tuple[int, int]) -> None:
-    rows = flat.reshape(shape)
-    lines = [",".join(fmt17(v) for v in row.tolist()) for row in rows]
-    write_text(path, "\n".join(lines) + "\n")
+    write_text(path, csv_text(None, flat.reshape(shape).T))
 
 
 def _run_deblur(cfg: Config, prefix: Path, seed: int) -> int:
@@ -360,7 +350,7 @@ def _suite_tweedie(reg: Regularizer, details: dict) -> bool:
     den = reg.denoiser
     grid = reg.default_grid(points=41, half_width_scales=4.0)
     tweedie = den.scalar_apply(grid)
-    oracle = np.array([den.posterior_mean(float(z)) for z in grid])
+    oracle = den.posterior_mean(grid)
     worst = float(np.abs(tweedie - oracle).max())
     details["max_abs_err"] = worst
     return worst <= 1e-6
@@ -406,7 +396,7 @@ def _suite_sandwich(details: dict) -> bool:
 
 
 def _suite_envelope_gradient(reg: Regularizer, details: dict) -> bool:
-    fz = moreau.ScalarFunction(eval=reg.marginal.scalar_value)
+    fz = reg.marginal.scalar_value
     worst = 0.0
     # deliberately asymmetric points: a symmetric bimodal marginal has a
     # genuinely two-valued prox at its symmetry centre, where the gradient

@@ -4,7 +4,10 @@ The lower envelope at parameter gamma is
 
     M_gamma f(x)  = inf_y  f(y) + (y - x)^2 / (2 gamma)
 
-and the upper envelope is the sup with the quadratic subtracted.  Every
+and the upper envelope is the sup with the quadratic subtracted; both
+optimize over the whole real line.  ``f`` is a plain callable that acts
+elementwise on an ndarray and may return +inf (or NaN, read as +inf) where
+it is undefined.  Every
 envelope runs on one core: ``_scan`` evaluates the objective on a uniform
 grid around each x (widening, row by row, the windows whose optimum sits
 on an edge), and ``_golden`` refines grid brackets down to rounding by
@@ -31,12 +34,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "ScalarFunction",
     "EnvelopeResult",
     "EnvelopeUnboundedError",
     "MultivaluedProxError",
@@ -72,37 +73,17 @@ class MultivaluedProxError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ScalarFunction:
-    """A scalar function of one real variable.
-
-    ``eval`` must accept ndarray input elementwise and may return +inf
-    outside the function's effective domain.  ``domain`` clips the search
-    interval.
-    """
-
-    eval: Callable[[np.ndarray], np.ndarray]
-    domain: tuple[float, float] = (-math.inf, math.inf)
-
-    def __post_init__(self):
-        lo, hi = self.domain
-        if not lo < hi:
-            raise ValueError(f"domain must be a nonempty interval, got {self.domain!r}")
-
-
-@dataclass(frozen=True)
 class EnvelopeResult:
     """Envelope value with diagnostics.
 
     ``candidates`` lists every refined optimizer whose value ties the best
     one within the tie tolerance; ``argopt`` is the smallest of them.
-    ``converged`` means the objective is stationary at ``argopt`` (or the
-    optimum sits on the domain boundary, flagged by ``on_boundary``).
+    ``converged`` means the objective is stationary at ``argopt``.
     """
 
     value: float
     argopt: float
     converged: bool
-    on_boundary: bool = False
     candidates: tuple[float, ...] = field(default_factory=tuple)
 
 
@@ -126,24 +107,21 @@ def _objective(eval_fn, sign: float, gamma: float, ys: np.ndarray, xs) -> np.nda
     return q
 
 
-def _scan(eval_fn, sign, gamma, xs, grid_points, domain):
+def _scan(eval_fn, sign, gamma, xs, grid_points):
     """Objective values on a uniform grid around each ``x`` (one row each).
 
-    The window is clipped to ``domain``.  A row whose best grid point sits
-    on a window edge that is not a domain edge (the optimum may lie outside
-    the window) is scanned again on a window four times as wide; the other
-    rows keep their grid, so a row's grid does not depend on the rest of
-    ``xs``.  If widening never settles, the objective is unbounded.
+    A row whose best grid point sits on a window edge (the optimum may lie
+    outside the window) is scanned again on a window four times as wide;
+    the other rows keep their grid, so a row's grid does not depend on the
+    rest of ``xs``.  If widening never settles, the objective is unbounded.
     Returns ``(ys, vals)`` of shape ``(len(xs), grid_points)``.
     """
-    dom_lo, dom_hi = domain
     radius = 20.0 * max(1.0, math.sqrt(gamma))
     steps = np.arange(grid_points)
     rows = np.arange(xs.size)
     for widening in range(4):
         x = xs[rows]
-        lo = np.maximum(x - radius, dom_lo)
-        hi = np.minimum(x + radius, dom_hi)
+        lo, hi = x - radius, x + radius
         # np.linspace(lo, hi, grid_points) row by row, built in place.
         grid = steps * ((hi - lo) / (grid_points - 1))[:, None]
         grid += lo[:, None]
@@ -156,15 +134,14 @@ def _scan(eval_fn, sign, gamma, xs, grid_points, domain):
         else:
             ys[rows], vals[rows] = grid, objective
         best = np.argmin(objective, axis=1)
-        at_edge = ((best == 0) & (lo > dom_lo)) | ((best == grid_points - 1) & (hi < dom_hi))
+        at_edge = (best == 0) | (best == grid_points - 1)
         rows = rows[at_edge]
         if rows.size == 0:
             return ys, vals
         radius *= 4.0
     raise EnvelopeUnboundedError(
         f"envelope objective at x={float(xs[rows[0]])!r} keeps improving toward "
-        f"the search boundary (last window radius {radius / 4.0!r}); it is "
-        "unbounded or needs an explicit domain"
+        f"the search boundary (last window radius {radius / 4.0!r}); it is unbounded"
     )
 
 
@@ -219,13 +196,13 @@ def _points(gamma: float, xs, grid_points: int) -> np.ndarray:
     return flat
 
 
-def _search(f: ScalarFunction, gamma: float, x: float, sign: float, grid_points: int) -> EnvelopeResult:
-    """Minimize sign*f(y) + (y-x)^2/(2 gamma) over the domain of f."""
+def _search(f, gamma: float, x: float, sign: float, grid_points: int) -> EnvelopeResult:
+    """Minimize sign*f(y) + (y-x)^2/(2 gamma) over the real line."""
     xs = _points(gamma, x, grid_points)
-    ys, vals = _scan(f.eval, sign, gamma, xs, grid_points, f.domain)
+    ys, vals = _scan(f, sign, gamma, xs, grid_points)
 
-    # Candidate basins: every finite grid-local minimum, plus clipped-domain
-    # ends; all of them are refined together, one golden-section row each.
+    # Candidate basins: every finite grid-local minimum, the window ends
+    # included; all of them are refined together, one golden-section row each.
     v = vals[0]
     basin = np.zeros(grid_points, dtype=bool)
     basin[1:-1] = (v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])
@@ -234,7 +211,7 @@ def _search(f: ScalarFunction, gamma: float, x: float, sign: float, grid_points:
     idx = np.flatnonzero(basin & np.isfinite(v))
     rows = np.zeros_like(idx)
     a, b = _brackets(ys, rows, idx)
-    refined_y, refined_v = _golden(f.eval, sign, gamma, a, b, xs[rows])
+    refined_y, refined_v = _golden(f, sign, gamma, a, b, xs[rows])
     finite = np.isfinite(refined_v)
     if not finite.any():
         raise ValueError("no finite envelope candidate found")
@@ -245,46 +222,33 @@ def _search(f: ScalarFunction, gamma: float, x: float, sign: float, grid_points:
         if not distinct or abs(y - distinct[-1]) > 1e-6 * max(1.0, abs(y)):
             distinct.append(y)
     argopt = distinct[0]
-
-    # The golden refinement localizes an optimizer only to ~sqrt(eps) in
-    # position (values tie in floating point below that), so boundary
-    # proximity must be judged at that resolution.
-    def near(edge: float) -> bool:
-        return math.isfinite(edge) and abs(argopt - edge) <= 1e-7 * max(1.0, abs(edge))
-
-    on_boundary = near(f.domain[0]) or near(f.domain[1])
-    if on_boundary:
-        converged = True
-    else:
-        h = 1e-6 * max(1.0, abs(argopt))
-        up, down = _objective(f.eval, sign, gamma, np.array([argopt + h, argopt - h]), xs[0])
-        converged = bool(abs((up - down) / (2.0 * h)) <= _STATIONARITY_TOL)
+    h = 1e-6 * max(1.0, abs(argopt))
+    up, down = _objective(f, sign, gamma, np.array([argopt + h, argopt - h]), xs[0])
 
     return EnvelopeResult(
         value=best_val if sign > 0 else -best_val,
         argopt=argopt,
-        converged=converged,
-        on_boundary=on_boundary,
+        converged=bool(abs((up - down) / (2.0 * h)) <= _STATIONARITY_TOL),
         candidates=tuple(distinct),
     )
 
 
-def lower_envelope(f: ScalarFunction, gamma: float, x: float, *, grid_points: int = 2001) -> EnvelopeResult:
+def lower_envelope(f, gamma: float, x: float, *, grid_points: int = 2001) -> EnvelopeResult:
     """inf_y f(y) + (y - x)^2 / (2 gamma), with the minimizing y."""
     return _search(f, gamma, x, 1.0, grid_points)
 
 
-def upper_envelope(f: ScalarFunction, gamma: float, x: float, *, grid_points: int = 2001) -> EnvelopeResult:
+def upper_envelope(f, gamma: float, x: float, *, grid_points: int = 2001) -> EnvelopeResult:
     """sup_y f(y) - (y - x)^2 / (2 gamma), with the maximizing y."""
     return _search(f, gamma, x, -1.0, grid_points)
 
 
-def prox(f: ScalarFunction, gamma: float, x: float, **kwargs) -> float:
+def prox(f, gamma: float, x: float, **kwargs) -> float:
     """The (assumed single-valued) proximal point argmin f(y) + (y-x)^2/(2 gamma)."""
     return lower_envelope(f, gamma, x, **kwargs).argopt
 
 
-def envelope_gradient(f: ScalarFunction, gamma: float, x: float, **kwargs) -> float:
+def envelope_gradient(f, gamma: float, x: float, **kwargs) -> float:
     """Gradient (x - prox(x)) / gamma of the lower envelope at x.
 
     The identity requires a single-valued, continuous proximal map; a
@@ -309,7 +273,7 @@ def _envelope_many(eval_fn, gamma, xs, sign, grid_points):
     rows = max(1, _SCAN_ENTRIES // grid_points)
     for start in range(0, flat.size, rows):
         block = slice(start, start + rows)
-        ys, vals = _scan(eval_fn, sign, gamma, flat[block], grid_points, (-math.inf, math.inf))
+        ys, vals = _scan(eval_fn, sign, gamma, flat[block], grid_points)
         a, b = _brackets(ys, np.arange(ys.shape[0]), np.argmin(vals, axis=1))
         del ys, vals  # the golden section needs only the brackets
         y[block], v[block] = _golden(eval_fn, sign, gamma, a, b, flat[block])

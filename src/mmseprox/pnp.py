@@ -31,7 +31,7 @@ import numpy as np
 from .denoiser import Denoiser
 from .operators import Fidelity
 from .regularizer import Regularizer
-from .textio import fmt17, write_text
+from .textio import csv_text, write_text
 
 __all__ = [
     "Init",
@@ -223,23 +223,9 @@ def write_trace_csv(trace: SolverTrace, destination, truth=None) -> None:
 
     The psnr at row k is measured on the iterate the step started from.
     """
-    lines = ["k,F,residual,best_residual,descent_slack,step_norm,psnr"]
-    for rec in trace.records:
-        if truth is not None:
-            p = psnr(trace.iterates[rec.k - 1], truth)
-        else:
-            p = math.nan
-        lines.append(
-            ",".join(
-                (
-                    str(rec.k),
-                    fmt17(rec.objective_F),
-                    fmt17(rec.residual),
-                    fmt17(rec.best_residual),
-                    fmt17(rec.descent_slack),
-                    fmt17(rec.step_norm),
-                    fmt17(p),
-                )
-            )
-        )
-    write_text(destination, "\n".join(lines) + "\n")
+    fields = ("k", "objective_F", "residual", "best_residual", "descent_slack", "step_norm")
+    columns = [[getattr(rec, name) for rec in trace.records] for name in fields]
+    columns.append(
+        [math.nan if truth is None else psnr(trace.iterates[rec.k - 1], truth) for rec in trace.records]
+    )
+    write_text(destination, csv_text("k,F,residual,best_residual,descent_slack,step_norm,psnr", columns))

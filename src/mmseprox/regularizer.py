@@ -18,8 +18,10 @@ The two routes agree on the image of the denoiser; the envelope route is
 additionally finite off-image whenever the envelope objective is bounded,
 which is what makes it usable as a solver objective (``phi_total``).
 
-Weak-convexity certification works on second differences of phi + x^2/2
-over a uniform grid; the same machinery is exposed for raw callables so a
+Weak-convexity certification has one rule, ``certify_weak_convexity``:
+the central second differences of f + x^2/2 over a uniform grid must all
+be >= -1e-5.  The regularizer applies it to the envelope route on the
+in-image part of a grid; any plain callable can be passed too, so a
 known-nonconvex control can be shown to fail.
 """
 
@@ -32,12 +34,11 @@ import numpy as np
 
 from . import moreau
 from .denoiser import INVERT_TOL, Denoiser
-from .textio import fmt17, fmt_bool, write_text
+from .textio import csv_text, write_text
 
 __all__ = [
     "CertificateReport",
     "Regularizer",
-    "second_difference_report",
     "certify_weak_convexity",
 ]
 
@@ -53,8 +54,6 @@ class CertificateReport:
 
     passed: bool
     min_second_difference: float
-    points_used: int
-    spacing: float
 
 
 def _check_uniform_grid(grid: np.ndarray) -> float:
@@ -67,27 +66,14 @@ def _check_uniform_grid(grid: np.ndarray) -> float:
     return h
 
 
-def second_difference_report(values, spacing: float) -> CertificateReport:
-    """Min central second difference of ``values`` on a uniform grid; PASS iff >= -1e-5."""
-    values = np.asarray(values, dtype=float)
-    if values.size < 3:
-        raise ValueError("need at least 3 grid values for a second difference")
-    second = (values[:-2] - 2.0 * values[1:-1] + values[2:]) / spacing**2
-    worst = float(second.min())
-    return CertificateReport(
-        passed=bool(worst >= -_CONVEXITY_TOL),
-        min_second_difference=worst,
-        points_used=int(values.size),
-        spacing=float(spacing),
-    )
-
-
 def certify_weak_convexity(eval_fn, grid) -> CertificateReport:
-    """Certify 1-weak convexity of a raw scalar callable on a uniform grid."""
+    """Min central second difference of eval_fn + x^2/2 on a uniform grid;
+    PASS iff it is >= -1e-5 (1-weak convexity up to rounding)."""
     grid = np.asarray(grid, dtype=float)
     h = _check_uniform_grid(grid)
     g = np.asarray(eval_fn(grid), dtype=float) + 0.5 * grid**2
-    return second_difference_report(g, h)
+    worst = float(((g[:-2] - 2.0 * g[1:-1] + g[2:]) / h**2).min())
+    return CertificateReport(passed=bool(worst >= -_CONVEXITY_TOL), min_second_difference=worst)
 
 
 class Regularizer:
@@ -101,29 +87,25 @@ class Regularizer:
     def __init__(self, denoiser: Denoiser):
         self.denoiser = denoiser
         self.marginal = denoiser.marginal
-        self.c_anchor = self._c_at(_ANCHOR)
+        self.c_anchor = self.c_constant(_ANCHOR)
 
     # -- anchor constant ---------------------------------------------------------
-
-    def _c_at(self, x0: float) -> float:
-        sigma2 = self.marginal.sigma2
-        x0arr = np.array([float(x0)])
-        psi0 = float(self.denoiser.scalar_apply(x0arr)[0])
-        value, in_image = self._explicit_values(np.array([psi0]))
-        if not in_image.all() or not np.isfinite(value).all():
-            raise ValueError(
-                f"anchor {x0!r}: inversion failed at its denoised value {psi0!r}; "
-                "choose an anchor inside the support of the model"
-            )
-        moreau_at_anchor = float(value[0]) + 0.5 * (psi0 - float(x0)) ** 2
-        f0 = float(self.marginal.scalar_value(x0arr)[0])
-        return f0 - moreau_at_anchor / sigma2
 
     def c_constant(self, anchor: float | None = None) -> float:
         """Anchor constant; pass a different anchor to check independence."""
         if anchor is None:
             return self.c_anchor
-        return self._c_at(anchor)
+        x0arr = np.array([float(anchor)])
+        psi0 = float(self.denoiser.scalar_apply(x0arr)[0])
+        value, in_image = self.phi_explicit_profile(psi0)
+        if not in_image.all() or not np.isfinite(value).all():
+            raise ValueError(
+                f"anchor {anchor!r}: inversion failed at its denoised value {psi0!r}; "
+                "choose an anchor inside the support of the model"
+            )
+        moreau_at_anchor = float(value[0]) + 0.5 * (psi0 - float(anchor)) ** 2
+        f0 = float(self.marginal.scalar_value(x0arr)[0])
+        return f0 - moreau_at_anchor / self.marginal.sigma2
 
     # -- explicit route ----------------------------------------------------------
 
@@ -132,24 +114,15 @@ class Regularizer:
         ys, res, ok = self.denoiser.scalar_invert(xs)
         return ys, ok & (res <= INVERT_TOL)
 
-    def _explicit_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def phi_explicit_profile(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """Per-point explicit values (+inf off the image) and in-image flags."""
+        xs = np.asarray(xs, dtype=float).reshape(-1)
         ys, in_image = self._invert(xs)
         fz = self.marginal.scalar_value(ys)
         vals = -0.5 * (ys - xs) ** 2 + self.marginal.sigma2 * fz
-        vals = np.where(in_image, vals, np.inf)
-        return vals, in_image
-
-    def phi_explicit_profile(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        """Per-point explicit values and in-image flags over a grid."""
-        xs = np.asarray(xs, dtype=float).reshape(-1)
-        return self._explicit_values(xs)
+        return np.where(in_image, vals, np.inf), in_image
 
     # -- envelope route ----------------------------------------------------------
-
-    def _envelope_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        sigma2 = self.marginal.sigma2
-        vals, maximizers = moreau.upper_envelope_many(self.marginal.scalar_value, sigma2, xs)
-        return sigma2 * vals - sigma2 * self.c_anchor, maximizers
 
     def phi_envelope_profile(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Per-point envelope values and envelope maximizers over a grid.
@@ -158,30 +131,30 @@ class Regularizer:
         on the image of the denoiser the maximizer is its preimage.
         """
         xs = np.asarray(xs, dtype=float).reshape(-1)
-        return self._envelope_values(xs)
+        sigma2 = self.marginal.sigma2
+        vals, maximizers = moreau.upper_envelope_many(self.marginal.scalar_value, sigma2, xs)
+        return sigma2 * vals - sigma2 * self.c_anchor, maximizers
 
     def phi_total(self, x) -> float:
         """Envelope-route phi summed over the coordinates of ``x``, the
         solver objective term."""
-        vals, _ = self._envelope_values(np.asarray(x, dtype=float).reshape(-1))
-        return float(vals.sum())
+        return float(self.phi_envelope_profile(x)[0].sum())
 
     # -- certification -----------------------------------------------------------
 
     def weak_convexity_certificate(self, grid) -> CertificateReport:
-        """Second differences of phi_envelope + x^2/2 on the in-image part
-        of a uniform grid; PASS iff the minimum is >= -1e-5."""
+        """``certify_weak_convexity`` of the envelope-route phi on the
+        in-image part of a uniform grid; phi is evaluated there only, so
+        a grid may reach past a bounded image."""
         grid = np.asarray(grid, dtype=float)
-        h = _check_uniform_grid(grid)
-        vals, _ = self.phi_envelope_profile(grid)
+        _check_uniform_grid(grid)
         _, in_image = self._invert(grid)
         idx = np.flatnonzero(in_image)
         if idx.size < 3:
             raise ValueError("fewer than 3 in-image grid points; widen or recenter the grid")
         if np.any(np.diff(idx) != 1):
             raise ValueError("in-image grid points are not contiguous; the grid straddles the image boundary irregularly")
-        g = vals[idx] + 0.5 * grid[idx] ** 2
-        return second_difference_report(g, h)
+        return certify_weak_convexity(lambda xs: self.phi_envelope_profile(xs)[0], grid[idx])
 
     # -- grids and emission --------------------------------------------------------
 
@@ -201,18 +174,8 @@ class Regularizer:
         f_z = self.marginal.scalar_value(xs)
         explicit, in_image = self.phi_explicit_profile(xs)
         envelope, _ = self.phi_envelope_profile(xs)
-        lines = ["x,f_X,f_Z,phi_explicit,phi_envelope,in_image"]
-        for i in range(xs.size):
-            lines.append(
-                ",".join(
-                    (
-                        fmt17(xs[i]),
-                        fmt17(f_x[i]),
-                        fmt17(f_z[i]),
-                        fmt17(explicit[i]),
-                        fmt17(envelope[i]),
-                        fmt_bool(in_image[i]),
-                    )
-                )
-            )
-        write_text(destination, "\n".join(lines) + "\n")
+        text = csv_text(
+            "x,f_X,f_Z,phi_explicit,phi_envelope,in_image",
+            (xs, f_x, f_z, explicit, envelope, in_image),
+        )
+        write_text(destination, text)

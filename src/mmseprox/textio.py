@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-__all__ = ["fmt17", "fmt_bool", "write_text"]
+import numpy as np
+
+__all__ = ["fmt17", "fmt_bool", "csv_text", "write_text"]
 
 
 def fmt17(value: float) -> str:
@@ -17,6 +19,22 @@ def fmt17(value: float) -> str:
 
 def fmt_bool(flag) -> str:
     return "true" if flag else "false"
+
+
+def csv_text(header: str | None, columns) -> str:
+    """CSV text: an optional header line, then one comma-joined row per
+    entry of the equal-length ``columns``, and a trailing newline.
+
+    Boolean columns are written with ``fmt_bool``, all others with ``fmt17``.
+    """
+    cells = []
+    for column in columns:
+        column = np.asarray(column)
+        fmt = fmt_bool if column.dtype == bool else fmt17
+        cells.append([fmt(v) for v in column.tolist()])
+    lines = [] if header is None else [header]
+    lines.extend(",".join(row) for row in zip(*cells))
+    return "\n".join(lines) + "\n"
 
 
 def write_text(destination, text: str) -> None:

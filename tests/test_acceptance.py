@@ -175,7 +175,7 @@ def test_criterion_5_envelope_gradient_identity(regs):
     worst = 0.0
     for (name, s2), reg in regs.items():
         marg = reg.marginal
-        fz = moreau.ScalarFunction(eval=lambda ys, m=marg: np.asarray(m.scalar_f(ys)[0]))
+        fz = lambda ys, m=marg: np.asarray(m.scalar_f(ys)[0])
         # stay clear of the symmetric mixture's centre, where the prox is
         # genuinely two-valued and the gradient identity does not apply
         pts = rng.uniform(0.15, 4.5, size=20) * rng.choice([-1.0, 1.0], size=20)

@@ -1,5 +1,9 @@
 """Command-line checks: config parsing, error reporting, and experiment runs."""
 
+import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 from textwrap import dedent
 
@@ -326,6 +330,38 @@ def test_deblur_runs_and_seed_changes_output(tmp_path, capsys):
     reseeded = (tmp_path / "c_trace.csv").read_bytes()
     assert repeat == (tmp_path / "a_trace.csv").read_bytes()
     assert reseeded != repeat
+
+
+def test_deblur_bytes_do_not_depend_on_earlier_runs(tmp_path, capsys):
+    # The deblur-256-plain benchmark config (seed 7), run in this process
+    # right after the certificate suite, must write what a fresh process
+    # writes for the same config.
+    root = Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(root / "perfbench"))
+    cert = workloads.WORKLOADS["certificates-gmix2"]
+    path = write_config(tmp_path / "cert.ini", cert.config(7, str(tmp_path / "cert")))
+    assert cli.main([cert.command, "--config", str(path)]) == 0
+    deblur = workloads.WORKLOADS["deblur-256-plain"]
+    digests = {}
+    for run in ("after", "fresh"):
+        path = write_config(tmp_path / f"{run}.ini", deblur.config(7, str(tmp_path / run)))
+        argv = [deblur.command, "--config", str(path)]
+        if run == "after":
+            assert cli.main(argv) == 0
+        else:
+            env = {**os.environ, "PYTHONPATH": str(root / "src")}
+            code = "import sys; from mmseprox import cli; sys.exit(cli.main(sys.argv[1:]))"
+            subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
+                           capture_output=True, timeout=120)
+        digests[run] = [
+            hashlib.sha256((tmp_path / f"{run}_{name}.csv").read_bytes()).hexdigest()
+            for name in ("trace", "reconstruction")
+        ]
+    assert digests["after"] == digests["fresh"]
 
 
 def set_kernel(path: Path, kernel: str) -> Path:

@@ -9,7 +9,6 @@ from mmseprox import moreau
 from mmseprox import (
     EnvelopeUnboundedError,
     MultivaluedProxError,
-    ScalarFunction,
     envelope_gradient,
     lower_envelope,
     lower_envelope_many,
@@ -20,8 +19,8 @@ from mmseprox import (
 
 HALF_LOG_4PI = 1.2655121234846454
 
-QUAD = ScalarFunction(eval=lambda y: 0.5 * np.asarray(y) ** 2)
-ABS = ScalarFunction(eval=lambda y: np.abs(y))
+QUAD = lambda y: 0.5 * np.asarray(y) ** 2
+ABS = lambda y: np.abs(y)
 
 
 def test_lower_envelope_quadratic():
@@ -53,7 +52,7 @@ def test_upper_envelope_quadratic():
 def test_upper_envelope_standard_normal_marginal():
     # f(y) = y^2/4 + log(4 pi)/2 (unit prior plus unit noise);
     # sup f(y) - (y-1)^2/2 = 1/2 + log(4 pi)/2 at y = 2
-    f = ScalarFunction(eval=lambda y: 0.25 * np.asarray(y) ** 2 + HALF_LOG_4PI)
+    f = lambda y: 0.25 * np.asarray(y) ** 2 + HALF_LOG_4PI
     r = upper_envelope(f, 1.0, 1.0)
     assert r.value == pytest.approx(0.5 + HALF_LOG_4PI, abs=1e-10)
     assert r.argopt == pytest.approx(2.0, abs=1e-6)
@@ -71,7 +70,7 @@ def test_envelope_gradient_absolute():
 
 
 def test_envelope_gradient_matches_finite_difference():
-    f = ScalarFunction(eval=lambda y: np.log(np.cosh(np.asarray(y))))
+    f = lambda y: np.log(np.cosh(np.asarray(y)))
     for x in (-2.3, 0.4, 1.8):
         g = envelope_gradient(f, 0.7, x)
         h = 1e-5
@@ -82,13 +81,13 @@ def test_envelope_gradient_matches_finite_difference():
 def test_unbounded_envelopes_raise():
     with pytest.raises(EnvelopeUnboundedError):
         upper_envelope(QUAD, 2.0, 0.0)  # quadratic beats the quadratic penalty
-    neg = ScalarFunction(eval=lambda y: -np.asarray(y) ** 2)
+    neg = lambda y: -np.asarray(y) ** 2
     with pytest.raises(EnvelopeUnboundedError):
         lower_envelope(neg, 1.0, 0.0)
 
 
 def test_double_well_ties_and_multivalued_prox():
-    w = ScalarFunction(eval=lambda y: (np.asarray(y) ** 2 - 1.0) ** 2)
+    w = lambda y: (np.asarray(y) ** 2 - 1.0) ** 2
     r = lower_envelope(w, 1.0, 0.0)
     root = np.sqrt(3.0) / 2.0
     assert r.value == pytest.approx(7.0 / 16.0, abs=1e-9)
@@ -104,22 +103,10 @@ def test_double_well_ties_and_multivalued_prox():
     )
 
 
-def test_domain_boundary():
-    lin = ScalarFunction(eval=lambda y: np.asarray(y, dtype=float), domain=(-1.0, 1.0))
-    r = upper_envelope(lin, 1.0, 0.0)  # y - y^2/2 is increasing on (-1, 1)
-    assert r.on_boundary
-    assert r.converged
-    assert r.argopt == pytest.approx(1.0, abs=1e-6)
-    assert r.value == pytest.approx(0.5, abs=1e-8)
-    # the domain clips the window; the interior optimum is still found
-    bounded = ScalarFunction(eval=np.abs, domain=(-2.0, 2.0))
-    assert lower_envelope(bounded, 1.0, 0.4).value == pytest.approx(0.08, abs=1e-10)
-
-
 def test_nonfinite_window_raises_the_same_error():
     nowhere = lambda y: np.full(np.shape(y), np.nan)
     with pytest.raises(ValueError) as scalar:
-        lower_envelope(ScalarFunction(eval=nowhere), 1.0, 0.0)
+        lower_envelope(nowhere, 1.0, 0.0)
     with pytest.raises(ValueError) as many:
         lower_envelope_many(nowhere, 1.0, np.array([0.0]))
     assert scalar.type is many.type is ValueError
@@ -135,8 +122,6 @@ def test_validation_errors():
         lower_envelope(QUAD, 1.0, np.inf)
     with pytest.raises(ValueError):
         lower_envelope(QUAD, 1.0, 1.0, grid_points=2)
-    with pytest.raises(ValueError):
-        ScalarFunction(eval=np.abs, domain=(2.0, -2.0))
 
 
 def test_vectorized_matches_scalar():
@@ -148,7 +133,7 @@ def test_vectorized_matches_scalar():
         assert args[i] == pytest.approx(r.argopt, abs=1e-6)
     uvals, uargs = upper_envelope_many(lambda y: 0.25 * np.asarray(y) ** 2, 1.0, xs)
     for i, x in enumerate(xs):
-        r = upper_envelope(ScalarFunction(eval=lambda y: 0.25 * np.asarray(y) ** 2), 1.0, float(x))
+        r = upper_envelope(lambda y: 0.25 * np.asarray(y) ** 2, 1.0, float(x))
         assert uvals[i] == pytest.approx(r.value, abs=1e-9)
 
 
@@ -236,9 +221,9 @@ def test_scalar_basins_share_each_golden_step():
     # two basins are refined as two rows of one golden section, so the
     # double well costs no more calls than a search with a single basin
     well = _Counting(lambda y: (np.asarray(y) ** 2 - 1.0) ** 2)
-    assert len(lower_envelope(ScalarFunction(eval=well), 1.0, 0.0).candidates) == 2
+    assert len(lower_envelope(well, 1.0, 0.0).candidates) == 2
     single = _Counting(lambda y: (np.asarray(y) - 0.5) ** 2)
-    assert lower_envelope(ScalarFunction(eval=single), 1.0, 0.0).argopt == pytest.approx(1.0 / 3.0, abs=1e-6)
+    assert lower_envelope(single, 1.0, 0.0).argopt == pytest.approx(1.0 / 3.0, abs=1e-6)
     assert well.calls <= single.calls
 
 
@@ -283,7 +268,7 @@ def test_absolute_value_envelope_is_huber(a, m, gamma, x):
     d = x - m
     soft = m + np.sign(d) * max(abs(d) - a * gamma, 0.0)
     huber = d * d / (2.0 * gamma) if abs(d) <= a * gamma else a * abs(d) - 0.5 * a * a * gamma
-    r = lower_envelope(ScalarFunction(eval=f), gamma, x)
+    r = lower_envelope(f, gamma, x)
     vals, args = lower_envelope_many(f, gamma, np.array([x]))
     for value, argopt in ((r.value, r.argopt), (vals[0], args[0])):
         assert value == pytest.approx(huber, abs=1e-9)
@@ -297,7 +282,7 @@ def test_quadratic_upper_envelope_closed_form(t, gamma, x):
     f = lambda y: 0.5 * q * np.asarray(y) ** 2
     argmax = x / (1.0 - t)
     value = q * x * x / (2.0 * (1.0 - t))
-    r = upper_envelope(ScalarFunction(eval=f), gamma, x)
+    r = upper_envelope(f, gamma, x)
     vals, args = upper_envelope_many(f, gamma, np.array([x]))
     for got, argopt in ((r.value, r.argopt), (vals[0], args[0])):
         assert got == pytest.approx(value, abs=1e-9)

@@ -10,7 +10,6 @@ from mmseprox import (
     NoiseModel,
     Regularizer,
     certify_weak_convexity,
-    second_difference_report,
 )
 
 from conftest import FIXTURE_NAMES, SIGMA2S, make_marginal, make_prior
@@ -113,7 +112,6 @@ def test_weak_convexity_certificates(marginal_case):
     cert = reg.weak_convexity_certificate(reg.default_grid(points=201))
     assert cert.passed
     assert cert.min_second_difference >= -1e-5
-    assert cert.points_used >= 3
 
 
 def test_weak_convexity_control_fails():
@@ -122,9 +120,9 @@ def test_weak_convexity_control_fails():
     assert control.min_second_difference == pytest.approx(-1.0, abs=1e-6)
 
 
-def test_second_difference_report_validation():
+def test_weak_convexity_validation():
     with pytest.raises(ValueError):
-        second_difference_report(np.array([1.0, 2.0]), 0.1)  # needs >= 3 values
+        certify_weak_convexity(np.abs, np.array([0.0, 0.1]))  # needs >= 3 points
     with pytest.raises(ValueError):
         certify_weak_convexity(np.abs, np.array([0.0, 0.1, 0.3]))  # non-uniform grid
 
@@ -147,6 +145,17 @@ def test_two_point_fixture_bounded_image(two_point_denoiser):
 
     cert = reg.weak_convexity_certificate(inside)
     assert cert.passed
+
+
+def test_weak_convexity_grid_past_bounded_image(two_point_denoiser):
+    # The image of tanh is (-1, 1); phi is +inf and its envelope objective
+    # unbounded outside, so only the in-image points may be evaluated.
+    reg = Regularizer(two_point_denoiser)
+    cert = reg.weak_convexity_certificate(np.linspace(-1.5, 1.5, 301))
+    assert cert.passed
+    assert cert.min_second_difference == pytest.approx(1.0, abs=1e-3)
+    with pytest.raises(ValueError, match="fewer than 3 in-image grid points"):
+        reg.weak_convexity_certificate(np.linspace(0.5, 3.0, 6))
 
 
 def test_phi_total_sums_coordinates():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from mmseprox.textio import fmt17
+from mmseprox.textio import csv_text, fmt17
 
 
 def test_fmt17_exact_strings():
@@ -25,3 +25,21 @@ def test_fmt17_exact_strings():
 def test_fmt17_round_trips():
     for value in (1.0 / 3.0, -2.5e-300, 1.7976931348623157e308, 149.20071250717874):
         assert float(fmt17(value)) == value
+
+
+def test_csv_text_exact_bytes():
+    columns = ([1, 2], [0.5, -math.inf], [math.nan, 1.0 / 3.0], np.array([True, False]))
+    assert csv_text("k,a,b,ok", columns) == (
+        "k,a,b,ok\n1,0.5,nan,true\n2,-inf,0.33333333333333331,false\n"
+    )
+    assert csv_text(None, columns) == "1,0.5,nan,true\n2,-inf,0.33333333333333331,false\n"
+    assert csv_text("k", ([],)) == "k\n"
+
+
+def test_csv_text_grid_rows():
+    h, w = 3, 5
+    a = np.random.default_rng(0).standard_normal(h * w)
+    lines = csv_text(None, a.reshape(h, w).T).splitlines()
+    assert len(lines) == h
+    for line, row in zip(lines, a.reshape(h, w)):
+        assert line == ",".join(fmt17(v) for v in row)
