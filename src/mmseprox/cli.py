@@ -19,9 +19,10 @@ i.i.d. from it.  ``experiment.kind``, when set, must name the invoked
 subcommand, in any case and with ``_`` or ``-``.
 
 Config files are a strict flat key/value format with [section] headers,
-``#`` comments, one ``key = value`` per line.  Unknown sections or keys,
-duplicate keys, and malformed values are all hard errors that name the
-offending line.  Exit codes: 0 success, 1 validation failure, 2 numerical
+``#`` comments, one ``key = value`` per line.  ``_SCHEMA`` names each
+key's parser, and each value is parsed as it is read.  Unknown sections or
+keys, duplicate keys, and malformed values, even in a key the invoked
+experiment does not read, are all hard errors that name the offending line.  Exit codes: 0 success, 1 validation failure, 2 numerical
 failure (including any FAIL in the certificate suite).
 """
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -40,52 +42,14 @@ from .marginal import Marginal, NoiseModel
 from .moreau import EnvelopeUnboundedError, MultivaluedProxError
 from .operators import CircularConv2D, Fidelity, gaussian_blur_kernel
 from .prior import ComponentKind, MixturePrior
-from .regularizer import Regularizer, certify_weak_convexity
+from .regularizer import CONVEXITY_TOL, Regularizer, certify_weak_convexity
 from .textio import csv_text, fmt17, write_text
 
 __all__ = ["ConfigError", "parse_config", "run_experiment", "main"]
 
-_SCHEMA = {
-    "experiment": {"kind", "seed"},
-    "prior": {"kinds", "weights", "locations", "scales"},
-    "noise": {"sigma2"},
-    "grid": {"points", "half_width_scales"},
-    "operator": {"kind", "kernel", "height", "width", "measurement_sigma2"},
-    "solver": {"max_iters", "init", "lambda", "record_objective"},
-    "output": {"prefix"},
-}
-
 
 class ConfigError(ValueError):
     """A config file failed validation; the message names the offender."""
-
-
-class Config:
-    """Parsed config: sections of key -> (raw value, line number)."""
-
-    def __init__(self, sections: dict[str, dict[str, tuple[str, int]]]):
-        self.sections = sections
-
-    def require_section(self, name: str) -> None:
-        if name not in self.sections:
-            raise ConfigError(f"missing required section [{name}]")
-
-    def raw(self, section: str, key: str):
-        return self.sections.get(section, {}).get(key)
-
-    def get(self, section: str, key: str, parse, default=None, required: bool = False):
-        entry = self.raw(section, key)
-        if entry is None:
-            if required:
-                raise ConfigError(f"missing required key {key!r} in section [{section}]")
-            return default
-        value, lineno = entry
-        try:
-            return parse(value)
-        except ConfigError:
-            raise
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"line {lineno}: bad value for {section}.{key}: {exc}") from exc
 
 
 def _parse_float(s: str) -> float:
@@ -108,32 +72,31 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
-def _parse_str(s: str) -> str:
-    return s.strip()
+def _parse_choice(options: dict):
+    """Parser of a case-insensitive name among ``options``; returns its value."""
 
-
-def _parse_choice(options):
-    def parse(s: str) -> str:
+    def parse(s: str):
         v = s.strip().lower()
         if v not in options:
             raise ValueError(f"expected one of {sorted(options)}, got {s!r}")
-        return v
+        return options[v]
 
     return parse
 
 
-def _parse_float_list(s: str) -> list[float]:
-    parts = [p.strip() for p in s.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("expected a comma-separated list of numbers")
-    return [_parse_float(p) for p in parts]
+def _parse_list(parse_item):
+    """Parser of a comma-separated list of ``parse_item`` values."""
+
+    def parse(s: str) -> list:
+        parts = [p.strip() for p in s.split(",") if p.strip()]
+        if not parts:
+            raise ValueError("expected a comma-separated list")
+        return [parse_item(p) for p in parts]
+
+    return parse
 
 
-def _parse_str_list(s: str) -> list[str]:
-    parts = [p.strip().lower() for p in s.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("expected a comma-separated list")
-    return parts
+_parse_float_list = _parse_list(_parse_float)
 
 
 def _parse_kernel(s: str) -> np.ndarray:
@@ -147,9 +110,74 @@ def _parse_kernel(s: str) -> np.ndarray:
     return np.asarray(parsed, dtype=float)
 
 
+def _parse_experiment(s: str) -> str:
+    """An experiment name, in any case and with ``_`` or ``-``."""
+    name = s.lower().replace("_", "-")
+    if name not in _EXPERIMENTS:
+        raise ValueError(f"unknown experiment {s!r}")
+    return name
+
+
+def _parse_lambda(s: str) -> float | None:
+    """``auto`` (None: ``Fidelity.auto`` picks lambda) or a number."""
+    return None if s.lower() == "auto" else _parse_float(s)
+
+
+# section -> key -> parser of its (stripped) value
+_SCHEMA = {
+    "experiment": {"kind": _parse_experiment, "seed": _parse_int},
+    "prior": {
+        "kinds": _parse_list(_parse_choice({k.value: k for k in ComponentKind})),
+        "weights": _parse_float_list,
+        "locations": _parse_float_list,
+        "scales": _parse_float_list,
+    },
+    "noise": {"sigma2": _parse_float},
+    "grid": {"points": _parse_int, "half_width_scales": _parse_float},
+    "operator": {
+        "kind": _parse_choice({"conv2d": "conv2d"}),
+        "kernel": _parse_kernel,
+        "height": _parse_int,
+        "width": _parse_int,
+        "measurement_sigma2": _parse_float,
+    },
+    "solver": {
+        "max_iters": _parse_int,
+        "init": _parse_choice({i.value: i for i in pnp.Init}),
+        "lambda": _parse_lambda,
+        "record_objective": _parse_bool,
+    },
+    "output": {"prefix": str},
+}
+
+
+class Config:
+    """Parsed config: sections of key -> parsed value."""
+
+    def __init__(self, sections: dict[str, dict[str, object]]):
+        self.sections = sections
+
+    def require_section(self, name: str) -> None:
+        if name not in self.sections:
+            raise ConfigError(f"missing required section [{name}]")
+
+    def section(self, name: str) -> dict[str, object]:
+        """The keys a section sets, with their values; empty if it is absent."""
+        return dict(self.sections.get(name, {}))
+
+    def get(self, section: str, key: str, default=None, required: bool = False):
+        values = self.sections.get(section, {})
+        if key in values:
+            return values[key]
+        if required:
+            raise ConfigError(f"missing required key {key!r} in section [{section}]")
+        return default
+
+
 def parse_config(text: str) -> Config:
-    """Parse and schema-check a config file; raise ConfigError on any issue."""
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
+    """Parse, schema-check and value-check a config file; raise ConfigError,
+    naming the line, on the first fault."""
+    sections: dict[str, dict[str, object]] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -172,111 +200,87 @@ def parse_config(text: str) -> Config:
             raise ConfigError(f"line {lineno}: key/value before any [section] header")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
         if key not in _SCHEMA[current]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{current}]")
         if key in sections[current]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in section [{current}]")
-        sections[current][key] = (value, lineno)
+        try:
+            sections[current][key] = _SCHEMA[current][key](value.strip())
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"line {lineno}: bad value for {current}.{key}: {exc}") from exc
     return Config(sections)
 
 
 # -- model assembly ------------------------------------------------------------
 
 
-def _prior_from(cfg: Config) -> MixturePrior:
-    """The configured scalar mixture prior."""
-    kinds = cfg.get("prior", "kinds", _parse_str_list, required=True)
-    weights = cfg.get("prior", "weights", _parse_float_list, required=True)
-    locations = cfg.get("prior", "locations", _parse_float_list, required=True)
-    scales = cfg.get("prior", "scales", _parse_float_list, required=True)
-    for k in kinds:
-        if k not in ("gaussian", "laplace"):
-            raise ConfigError(f"prior.kinds: unknown component kind {k!r}")
+def _regularizer_from(cfg: Config) -> Regularizer:
+    """The configured model chain: prior, noisy marginal, denoiser, regularizer."""
+    arrays = {
+        key: cfg.get("prior", key, required=True)
+        for key in ("kinds", "weights", "locations", "scales")
+    }
     try:
-        return MixturePrior.from_arrays(
-            kinds=[ComponentKind(k) for k in kinds],
-            weights=weights,
-            locations=locations,
-            scales=scales,
-        )
+        prior = MixturePrior.from_arrays(**arrays)
     except ValueError as exc:
         raise ConfigError(f"section [prior]: {exc}") from exc
-
-
-def _noise_from(cfg: Config) -> NoiseModel:
-    sigma2 = cfg.get("noise", "sigma2", _parse_float, required=True)
+    sigma2 = cfg.get("noise", "sigma2", required=True)
     try:
-        return NoiseModel(sigma2)
+        noise = NoiseModel(sigma2)
     except ValueError as exc:
         raise ConfigError(f"section [noise]: {exc}") from exc
+    return Regularizer(Denoiser(Marginal(prior, noise)))
 
 
 def _grid_from(cfg: Config, reg: Regularizer) -> np.ndarray:
-    points = cfg.get("grid", "points", _parse_int, default=401)
-    half_width = cfg.get("grid", "half_width_scales", _parse_float, default=6.0)
-    if points < 3:
+    """``reg.default_grid`` with the [grid] keys the config sets."""
+    settings = cfg.section("grid")
+    if "points" in settings and settings["points"] < 3:
         raise ConfigError("grid.points must be >= 3")
-    if half_width <= 0:
+    if "half_width_scales" in settings and settings["half_width_scales"] <= 0:
         raise ConfigError("grid.half_width_scales must be > 0")
-    return reg.default_grid(points=points, half_width_scales=half_width)
+    return reg.default_grid(**settings)
 
 
 def _operator_from(cfg: Config) -> CircularConv2D:
-    cfg.get("operator", "kind", _parse_choice({"conv2d"}), required=True)
-    kernel = cfg.get("operator", "kernel", _parse_kernel, required=True)
-    h = cfg.get("operator", "height", _parse_int, required=True)
-    w = cfg.get("operator", "width", _parse_int, required=True)
+    cfg.get("operator", "kind", required=True)
+    kernel = cfg.get("operator", "kernel", required=True)
+    h = cfg.get("operator", "height", required=True)
+    w = cfg.get("operator", "width", required=True)
     try:
         return CircularConv2D(kernel, (h, w))
     except ValueError as exc:
         raise ConfigError(f"section [operator]: {exc}") from exc
 
 
-def _solver_settings(cfg: Config):
-    max_iters = cfg.get("solver", "max_iters", _parse_int, default=50)
-    init_name = cfg.get(
-        "solver", "init", _parse_choice({i.value for i in pnp.Init}), default=pnp.Init.ZEROS.value
-    )
-    record = cfg.get("solver", "record_objective", _parse_bool, default=True)
-    lam_raw = cfg.raw("solver", "lambda")
-    if lam_raw is None or lam_raw[0].strip().lower() == "auto":
-        lam = None
-    else:
-        lam = cfg.get("solver", "lambda", _parse_float)
-        if lam <= 0:
-            raise ConfigError("solver.lambda must be > 0 or 'auto'")
+def _solver_settings(cfg: Config) -> tuple[pnp.SolverConfig, float | None]:
+    """``pnp.SolverConfig`` with the [solver] keys the config sets, and
+    lambda (None for auto)."""
+    settings = cfg.section("solver")
+    lam = settings.pop("lambda", None)
+    if lam is not None and lam <= 0:
+        raise ConfigError("solver.lambda must be > 0 or 'auto'")
     try:
-        sc = pnp.SolverConfig(
-            max_iters=max_iters, init=pnp.Init(init_name), record_objective=record
-        )
+        return pnp.SolverConfig(**settings), lam
     except ValueError as exc:
         raise ConfigError(f"section [solver]: {exc}") from exc
-    return sc, lam
 
 
-def _out_prefix(cfg: Config, override: str | None) -> Path:
-    prefix = override
-    if prefix is None:
-        prefix = cfg.get("output", "prefix", _parse_str, required=False)
-    if prefix is None:
-        raise ConfigError("no output prefix: set [output] prefix or pass --out")
-    return Path(prefix)
-
-
-def _seed_from(cfg: Config, override: int | None) -> int:
-    if override is not None:
-        return int(override)
-    return cfg.get("experiment", "seed", _parse_int, default=0)
+def _observe(prior: MixturePrior, op: CircularConv2D, meas_sigma2: float, seed: int):
+    """A truth drawn from the prior and its blurred noisy observation."""
+    n = op.input_size
+    truth = prior.sample(n, seed=seed)
+    noise = np.random.default_rng(seed + 1).standard_normal(n)
+    return truth, op.apply(truth) + math.sqrt(meas_sigma2) * noise
 
 
 # -- experiments ---------------------------------------------------------------
 
 
 def _run_regularizer_recovery(cfg: Config, prefix: Path, seed: int) -> int:
-    reg = Regularizer(Denoiser(Marginal(_prior_from(cfg), _noise_from(cfg))))
+    reg = _regularizer_from(cfg)
     grid = _grid_from(cfg, reg)
     out = Path(f"{prefix}_curves.csv")
     reg.write_curves_csv(grid, out)
@@ -285,11 +289,10 @@ def _run_regularizer_recovery(cfg: Config, prefix: Path, seed: int) -> int:
 
 
 def _run_denoiser_check(cfg: Config, prefix: Path, seed: int) -> int:
-    den = Denoiser(Marginal(_prior_from(cfg), _noise_from(cfg)))
-    reg = Regularizer(den)
+    reg = _regularizer_from(cfg)
     grid = _grid_from(cfg, reg)
-    tweedie = den.scalar_apply(grid)
-    oracle = den.posterior_mean(grid)
+    tweedie = reg.denoiser.scalar_apply(grid)
+    oracle = reg.denoiser.posterior_mean(grid)
     err = np.abs(tweedie - oracle)
     out = Path(f"{prefix}_denoiser.csv")
     write_text(out, csv_text("z,psi_tweedie,psi_oracle,abs_err", (grid, tweedie, oracle, err)))
@@ -303,22 +306,15 @@ def _write_grid_csv(path: Path, flat: np.ndarray, shape: tuple[int, int]) -> Non
 
 def _run_deblur(cfg: Config, prefix: Path, seed: int) -> int:
     op = _operator_from(cfg)
-    meas_sigma2 = cfg.get("operator", "measurement_sigma2", _parse_float, required=True)
+    meas_sigma2 = cfg.get("operator", "measurement_sigma2", required=True)
     if meas_sigma2 <= 0:
         raise ConfigError("operator.measurement_sigma2 must be > 0")
-
-    n = op.input_size
-    prior = _prior_from(cfg)
-    den = Denoiser(Marginal(prior, _noise_from(cfg)))
-    reg = Regularizer(den)
-
-    truth = prior.sample(n, seed=seed)
-    noise = np.random.default_rng(seed + 1).standard_normal(n)
-    y = op.apply(truth) + math.sqrt(meas_sigma2) * noise
-
     solver_cfg, lam = _solver_settings(cfg)
+    reg = _regularizer_from(cfg)
+
+    truth, y = _observe(reg.marginal.prior, op, meas_sigma2, seed)
     fid = Fidelity.auto(op, y) if lam is None else Fidelity(op, y, lam)
-    trace = pnp.run(den, fid, reg, solver_cfg)
+    trace = pnp.run(reg.denoiser, fid, reg, solver_cfg)
 
     pnp.write_trace_csv(trace, Path(f"{prefix}_trace.csv"), truth=truth)
     _write_grid_csv(Path(f"{prefix}_truth.csv"), truth, op.image_shape)
@@ -332,70 +328,49 @@ def _run_deblur(cfg: Config, prefix: Path, seed: int) -> int:
 
 
 # -- certificate suite ---------------------------------------------------------
+#
+# Every check takes (reg, seed) and returns its metrics by name.
 
 
-def _nested_prox_points(reg: Regularizer, zs: np.ndarray) -> np.ndarray:
-    """argmin_y phi(y) + (y-z)^2/2 for each z, by nested envelopes (phi by
-    its envelope route)."""
-
-    def phi_values(ys):
-        vals, _ = reg.phi_envelope_profile(ys)
-        return vals
-
-    _, argopts = moreau.lower_envelope_many(phi_values, 1.0, zs, grid_points=301)
-    return argopts
-
-
-def _suite_tweedie(reg: Regularizer, details: dict) -> bool:
+def _check_tweedie(reg: Regularizer, seed: int) -> dict[str, float]:
     den = reg.denoiser
     grid = reg.default_grid(points=41, half_width_scales=4.0)
     tweedie = den.scalar_apply(grid)
     oracle = den.posterior_mean(grid)
-    worst = float(np.abs(tweedie - oracle).max())
-    details["max_abs_err"] = worst
-    return worst <= 1e-6
+    return {"max_abs_err": float(np.abs(tweedie - oracle).max())}
 
 
-def _suite_route_agreement(reg: Regularizer, details: dict) -> bool:
+def _check_route_agreement(reg: Regularizer, seed: int) -> dict[str, float]:
     grid = reg.default_grid(points=101)
     explicit, in_image = reg.phi_explicit_profile(grid)
     envelope, _ = reg.phi_envelope_profile(grid)
     if not in_image.any():
-        return False
+        return {}  # no metric, so the gate fails
     rel = np.abs(explicit[in_image] - envelope[in_image]) / np.maximum(
         1.0, np.abs(explicit[in_image])
     )
-    details["max_rel_err"] = float(rel.max())
-    return bool(rel.max() <= 1e-6)
+    return {"max_rel_err": float(rel.max())}
 
 
-def _suite_sandwich(details: dict) -> bool:
+def _check_sandwich(reg: Regularizer, seed: int) -> dict[str, float]:
     grid = np.linspace(-3.0, 3.0, 61)
     specs = {
         "quadratic": lambda y: 0.5 * np.asarray(y) ** 2,
         "absolute": lambda y: np.abs(y),
         "cosine": lambda y: np.cos(3.0 * np.asarray(y)),
     }
-    ok = True
+    metrics = {}
     for name, f in specs.items():
-        def inner(ys, f=f):
-            vals, _ = moreau.lower_envelope_many(f, 1.0, ys)
-            return vals
-
-        outer, _ = moreau.upper_envelope_many(inner, 1.0, grid)
+        outer, _ = moreau.upper_envelope_many(
+            lambda ys, f=f: moreau.lower_envelope_many(f, 1.0, ys)[0], 1.0, grid
+        )
         gap = f(grid) - outer
-        details[f"{name}_min_gap"] = float(gap.min())
-        details[f"{name}_max_gap"] = float(gap.max())
-        if gap.min() < -1e-7:
-            ok = False
-    if abs(details["quadratic_max_gap"]) > 1e-7:
-        ok = False
-    if details["cosine_max_gap"] <= 0.1:
-        ok = False
-    return ok
+        metrics[f"{name}_min_gap"] = float(gap.min())
+        metrics[f"{name}_max_gap"] = float(gap.max())
+    return metrics
 
 
-def _suite_envelope_gradient(reg: Regularizer, details: dict) -> bool:
+def _check_envelope_gradient(reg: Regularizer, seed: int) -> dict[str, float]:
     fz = reg.marginal.scalar_value
     worst = 0.0
     # deliberately asymmetric points: a symmetric bimodal marginal has a
@@ -408,103 +383,125 @@ def _suite_envelope_gradient(reg: Regularizer, details: dict) -> bool:
         hi = moreau.lower_envelope(fz, 1.0, float(x) + h).value
         fd = (hi - lo) / (2.0 * h)
         worst = max(worst, abs(g - fd) / max(1.0, abs(fd)))
-    details["max_rel_err"] = worst
-    return worst <= 1e-5
+    return {"max_rel_err": worst}
 
 
-def _suite_moreau_identity(reg: Regularizer, details: dict) -> bool:
+def _check_moreau_identity(reg: Regularizer, seed: int) -> dict[str, float]:
     sigma2 = reg.marginal.sigma2
     grid = reg.default_grid(points=21, half_width_scales=3.0)
-
-    def phi_values(ys):
-        vals, _ = reg.phi_explicit_profile(ys)
-        return vals
-
-    m1, _ = moreau.lower_envelope_many(phi_values, 1.0, grid)
+    m1, _ = moreau.lower_envelope_many(lambda ys: reg.phi_explicit_profile(ys)[0], 1.0, grid)
     fz = reg.marginal.scalar_value(grid)
-    worst = float(np.abs(m1 / sigma2 + reg.c_anchor - fz).max())
-    details["max_abs_err"] = worst
     anchors = [reg.c_constant(a) for a in (0.0, 0.5, -1.0)]
-    spread = max(anchors) - min(anchors)
-    details["anchor_spread"] = spread
-    return worst <= 1e-6 and spread <= 1e-6
+    return {
+        "max_abs_err": float(np.abs(m1 / sigma2 + reg.c_anchor - fz).max()),
+        "anchor_spread": max(anchors) - min(anchors),
+    }
 
 
-def _suite_weak_convexity(reg: Regularizer, details: dict) -> bool:
+def _check_weak_convexity(reg: Regularizer, seed: int) -> dict[str, float]:
     cert = reg.weak_convexity_certificate(reg.default_grid(points=201))
-    details["min_second_difference"] = cert.min_second_difference
     control = certify_weak_convexity(lambda x: -np.asarray(x) ** 2, np.linspace(-3, 3, 201))
-    details["control_min_second_difference"] = control.min_second_difference
-    return cert.passed and not control.passed
+    return {
+        "min_second_difference": cert.min_second_difference,
+        "control_min_second_difference": control.min_second_difference,
+    }
 
 
-def _suite_prox_consistency(reg: Regularizer, details: dict) -> bool:
+def _check_prox_consistency(reg: Regularizer, seed: int) -> dict[str, float]:
     zs = reg.default_grid(points=15, half_width_scales=3.0)
-    prox_points = _nested_prox_points(reg, zs)
+    # argmin_y phi(y) + (y-z)^2/2 for each z, by nested envelopes (phi by
+    # its envelope route)
+    _, prox_points = moreau.lower_envelope_many(
+        lambda ys: reg.phi_envelope_profile(ys)[0], 1.0, zs, grid_points=301
+    )
     applied = reg.denoiser.scalar_apply(zs)
-    worst = float(np.abs(prox_points - applied).max())
-    details["max_abs_err"] = worst
-    return worst <= 1e-6
+    return {"max_abs_err": float(np.abs(prox_points - applied).max())}
 
 
-def _suite_solver_small(reg: Regularizer, seed: int, details: dict) -> bool:
-    side = 12
-    op = CircularConv2D(gaussian_blur_kernel(3, 0.25), (side, side))
-    truth = reg.marginal.prior.sample(side * side, seed=seed)
-    noise = np.random.default_rng(seed + 1).standard_normal(side * side)
-    y = op.apply(truth) + math.sqrt(0.04) * noise
+def _check_solver_small(reg: Regularizer, seed: int) -> dict[str, float]:
+    op = CircularConv2D(gaussian_blur_kernel(3, 0.25), (12, 12))
+    truth, y = _observe(reg.marginal.prior, op, 0.04, seed)
     fid = Fidelity.auto(op, y)
     trace = pnp.run(
         reg.denoiser, fid, reg,
         pnp.SolverConfig(max_iters=120, init=pnp.Init.ADJOINT_OBSERVATION),
     )
-    slacks = pnp.descent_check(trace)
-    floor = min(
-        s + 1e-9 * max(1.0, abs(r.objective_F)) for s, r in zip(slacks, trace.records)
+    # each descent slack may sit 1e-9 max(1, |F|) below zero, for rounding in F
+    margin = min(
+        s + 1e-9 * max(1.0, abs(r.objective_F))
+        for s, r in zip(pnp.descent_check(trace), trace.records)
     )
-    cert = pnp.rate_certificate(trace)
-    details["min_descent_margin"] = float(floor)
-    details["rate_violations"] = float(len(cert.violations))
-    details["psnr_gain_db"] = pnp.psnr(trace.final_x, truth) - pnp.psnr(y, truth)
-    return floor >= 0.0 and not cert.violations
+    return {
+        "min_descent_margin": float(margin),
+        "rate_violations": float(len(pnp.rate_certificate(trace).violations)),
+        "psnr_gain_db": pnp.psnr(trace.final_x, truth) - pnp.psnr(y, truth),
+    }
+
+
+# name -> (check, gate rows), in run order.  A check PASSes iff every row
+# (metric, comparison, threshold) holds; a missing or NaN metric fails it.
+_CERTIFICATES = {
+    "tweedie_oracle": (_check_tweedie, [("max_abs_err", "<=", 1e-6)]),
+    "route_agreement": (_check_route_agreement, [("max_rel_err", "<=", 1e-6)]),
+    "sandwich": (_check_sandwich, [
+        ("quadratic_min_gap", ">=", -1e-7),
+        ("quadratic_max_gap", "<=", 1e-7),
+        ("absolute_min_gap", ">=", -1e-7),
+        ("cosine_min_gap", ">=", -1e-7),
+        ("cosine_max_gap", ">", 0.1),
+    ]),
+    "envelope_gradient": (_check_envelope_gradient, [("max_rel_err", "<=", 1e-5)]),
+    "moreau_identity": (_check_moreau_identity, [
+        ("max_abs_err", "<=", 1e-6),
+        ("anchor_spread", "<=", 1e-6),
+    ]),
+    "weak_convexity": (_check_weak_convexity, [
+        ("min_second_difference", ">=", -CONVEXITY_TOL),
+        ("control_min_second_difference", "<", -CONVEXITY_TOL),
+    ]),
+    "prox_consistency": (_check_prox_consistency, [("max_abs_err", "<=", 1e-6)]),
+    "solver_small": (
+        _check_solver_small,
+        [("min_descent_margin", ">=", 0.0), ("rate_violations", "<=", 0.0)],
+    ),
+}
+
+_COMPARISONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
+
+
+def _passes(metrics: dict[str, float], gates) -> bool:
+    """Whether every gate row holds; NaN compares False, so it fails."""
+    return all(
+        _COMPARISONS[comparison](metrics.get(metric, math.nan), threshold)
+        for metric, comparison, threshold in gates
+    )
+
+
+def _verdict(passed: bool) -> str:
+    return "PASS" if passed else "FAIL"
 
 
 def _run_certificate_suite(cfg: Config, prefix: Path, seed: int) -> int:
-    reg = Regularizer(Denoiser(Marginal(_prior_from(cfg), _noise_from(cfg))))
-    suites = {}
-    details: dict[str, dict[str, float]] = {}
-
-    def record(name: str, fn) -> None:
-        details[name] = {}
-        suites[name] = bool(fn(details[name]))
-
-    record("tweedie_oracle", lambda d: _suite_tweedie(reg, d))
-    record("route_agreement", lambda d: _suite_route_agreement(reg, d))
-    record("sandwich", lambda d: _suite_sandwich(d))
-    record("envelope_gradient", lambda d: _suite_envelope_gradient(reg, d))
-    record("moreau_identity", lambda d: _suite_moreau_identity(reg, d))
-    record("weak_convexity", lambda d: _suite_weak_convexity(reg, d))
-    record("prox_consistency", lambda d: _suite_prox_consistency(reg, d))
-    record("solver_small", lambda d: _suite_solver_small(reg, seed, d))
+    reg = _regularizer_from(cfg)
+    metrics = {name: check(reg, seed) for name, (check, _) in _CERTIFICATES.items()}
+    passed = {name: _passes(metrics[name], gates) for name, (_, gates) in _CERTIFICATES.items()}
 
     lines = []
-    for name in sorted(suites):
-        lines.append(f"{name} = {'PASS' if suites[name] else 'FAIL'}")
-        for key in sorted(details[name]):
-            lines.append(f"{name}.{key} = {fmt17(details[name][key])}")
-    overall = all(suites.values())
-    lines.append(f"overall = {'PASS' if overall else 'FAIL'}")
+    for name in sorted(passed):
+        lines.append(f"{name} = {_verdict(passed[name])}")
+        lines += [f"{name}.{key} = {fmt17(metrics[name][key])}" for key in sorted(metrics[name])]
+    overall = all(passed.values())
+    lines.append(f"overall = {_verdict(overall)}")
     out = Path(f"{prefix}_certificates.txt")
     write_text(out, "\n".join(lines) + "\n")
     print(f"wrote {out}")
-    for name in sorted(suites):
-        print(f"{name}: {'PASS' if suites[name] else 'FAIL'}")
-    print(f"overall: {'PASS' if overall else 'FAIL'}")
+    for name in sorted(passed):
+        print(f"{name}: {_verdict(passed[name])}")
+    print(f"overall: {_verdict(overall)}")
     return 0 if overall else 2
 
 
-# experiment name -> (runner, required sections); experiment.kind may also
-# spell a name in any case and with underscores for hyphens.
+# experiment name -> (runner, required sections)
 _EXPERIMENTS = {
     "regularizer-recovery": (_run_regularizer_recovery, ("prior", "noise")),
     "denoiser-check": (_run_denoiser_check, ("prior", "noise")),
@@ -514,21 +511,17 @@ _EXPERIMENTS = {
 
 
 def run_experiment(command: str, cfg: Config, out: str | None, seed_override: int | None) -> int:
-    kind = cfg.get("experiment", "kind", _parse_str)
-    if kind is not None:
-        normalized = kind.lower().replace("_", "-")
-        if normalized not in _EXPERIMENTS:
-            raise ConfigError(f"experiment.kind: unknown experiment {kind!r}")
-        if normalized != command:
-            raise ConfigError(
-                f"experiment.kind is {kind!r} but the {command!r} subcommand was invoked"
-            )
+    kind = cfg.get("experiment", "kind")
+    if kind not in (None, command):
+        raise ConfigError(f"experiment.kind is {kind!r} but the {command!r} subcommand was invoked")
     runner, sections = _EXPERIMENTS[command]
     for section in sections:
         cfg.require_section(section)
-    seed = _seed_from(cfg, seed_override)
-    prefix = _out_prefix(cfg, out)
-    return runner(cfg, prefix, seed)
+    seed = cfg.get("experiment", "seed", default=0) if seed_override is None else seed_override
+    prefix = cfg.get("output", "prefix") if out is None else out
+    if prefix is None:
+        raise ConfigError("no output prefix: set [output] prefix or pass --out")
+    return runner(cfg, Path(prefix), seed)
 
 
 def main(argv=None) -> int:

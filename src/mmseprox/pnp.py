@@ -197,12 +197,12 @@ def rate_certificate(trace: SolverTrace) -> RateCertificate:
     F1 = trace.records[0].objective_F
     Fstar = min(min(r.objective_F for r in trace.records), trace.final_objective)
     gap = math.sqrt(max(F1 - Fstar, 0.0))
-    violations = []
-    for k in range(1, K):
-        bound = C * gap / math.sqrt(k) + _RATE_TOL
-        if trace.records[k - 1].best_residual > bound:
-            violations.append(k)
-    return RateCertificate(C=C, F1=F1, Fstar_estimate=Fstar, violations=tuple(violations))
+    violations = tuple(
+        k
+        for k, r in enumerate(trace.records, 1)
+        if r.best_residual > C * gap / math.sqrt(k) + _RATE_TOL
+    )
+    return RateCertificate(C=C, F1=F1, Fstar_estimate=Fstar, violations=violations)
 
 
 def psnr(x, truth, peak: float | None = None) -> float:

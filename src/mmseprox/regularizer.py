@@ -45,7 +45,7 @@ __all__ = [
 # Anchor point of the constant c, and how far below zero a second
 # difference of phi + x^2/2 may sit and still certify.
 _ANCHOR = 0.0
-_CONVEXITY_TOL = 1e-5
+CONVEXITY_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def certify_weak_convexity(eval_fn, grid) -> CertificateReport:
     h = _check_uniform_grid(grid)
     g = np.asarray(eval_fn(grid), dtype=float) + 0.5 * grid**2
     worst = float(((g[:-2] - 2.0 * g[1:-1] + g[2:]) / h**2).min())
-    return CertificateReport(passed=bool(worst >= -_CONVEXITY_TOL), min_second_difference=worst)
+    return CertificateReport(passed=bool(worst >= -CONVEXITY_TOL), min_second_difference=worst)
 
 
 class Regularizer:

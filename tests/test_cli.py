@@ -1,6 +1,7 @@
 """Command-line checks: config parsing, error reporting, and experiment runs."""
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,8 @@ from mmseprox import cli
 from mmseprox.cli import ConfigError, parse_config
 from mmseprox.operators import gaussian_blur_kernel
 from mmseprox.textio import fmt17
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(path: Path, text: str) -> Path:
@@ -38,11 +41,11 @@ def test_parse_config_round_trip():
             """
         )
     )
-    assert cfg.get("experiment", "kind", cli._parse_str) == "denoiser-check"
-    assert cfg.get("experiment", "seed", cli._parse_int) == 3
-    assert cfg.get("noise", "sigma2", cli._parse_float) == 0.25
+    assert cfg.get("experiment", "kind") == "denoiser-check"
+    assert cfg.get("experiment", "seed") == 3
+    assert cfg.get("noise", "sigma2") == 0.25
     # absent optional key falls back to its default
-    assert cfg.get("grid", "points", cli._parse_int, default=401) == 401
+    assert cfg.get("grid", "points", default=401) == 401
 
 
 @pytest.mark.parametrize("key", ["length", "matrix_file"])
@@ -52,7 +55,7 @@ def test_operator_schema_is_conv2d_only(key):
 
 
 def test_readme_config_runs(tmp_path):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     cfg = parse_config(block)
     rc = cli.run_experiment("regularizer-recovery", cfg, str(tmp_path / "mix"), None)
@@ -103,9 +106,8 @@ def test_empty_key_rejected():
 
 
 def test_bad_value_reports_line_number():
-    cfg = parse_config("[noise]\nsigma2 = banana\n")
     with pytest.raises(ConfigError, match=r"line 2: bad value for noise.sigma2"):
-        cli._noise_from(cfg)
+        parse_config("[noise]\nsigma2 = banana\n")
 
 
 def test_value_parsers():
@@ -163,8 +165,7 @@ def test_kind_subcommand_mismatch(tmp_path, capsys):
     ],
 )
 def test_kind_spellings_dispatch(tmp_path, monkeypatch, kind, command, output):
-    for name in _SUITE_NAMES:
-        monkeypatch.setattr(cli, name, lambda *a: True)
+    stub_certificates(monkeypatch)
     text = DENOISER_CFG.replace("kind = denoiser-check", f"kind = {kind}").replace(
         "points = 41", "points = 11"
     )
@@ -336,12 +337,11 @@ def test_deblur_bytes_do_not_depend_on_earlier_runs(tmp_path, capsys):
     # The deblur-256-plain benchmark config (seed 7), run in this process
     # right after the certificate suite, must write what a fresh process
     # writes for the same config.
-    root = Path(__file__).resolve().parents[1]
-    sys.path.insert(0, str(root / "perfbench"))
+    sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import workloads
     finally:
-        sys.path.remove(str(root / "perfbench"))
+        sys.path.remove(str(ROOT / "perfbench"))
     cert = workloads.WORKLOADS["certificates-gmix2"]
     path = write_config(tmp_path / "cert.ini", cert.config(7, str(tmp_path / "cert")))
     assert cli.main([cert.command, "--config", str(path)]) == 0
@@ -353,7 +353,7 @@ def test_deblur_bytes_do_not_depend_on_earlier_runs(tmp_path, capsys):
         if run == "after":
             assert cli.main(argv) == 0
         else:
-            env = {**os.environ, "PYTHONPATH": str(root / "src")}
+            env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
             code = "import sys; from mmseprox import cli; sys.exit(cli.main(sys.argv[1:]))"
             subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
                            capture_output=True, timeout=120)
@@ -438,38 +438,82 @@ CERT_CFG = """\
     sigma2 = 1.0
     """
 
-_SUITE_NAMES = (
-    "_suite_tweedie",
-    "_suite_route_agreement",
-    "_suite_sandwich",
-    "_suite_envelope_gradient",
-    "_suite_moreau_identity",
-    "_suite_weak_convexity",
-    "_suite_prox_consistency",
-    "_suite_solver_small",
-)
+
+def stub_certificates(monkeypatch, metrics=None):
+    """Replace every check with one that returns fixed metrics: those in
+    ``metrics[name]`` where given, else values on which every gate row holds."""
+    nudge = {"<=": 0.0, ">=": 0.0, "<": -1.0, ">": 1.0}
+    table = {}
+    for name, (_, gates) in cli._CERTIFICATES.items():
+        holding = {metric: threshold + nudge[cmp] for metric, cmp, threshold in gates}
+        fixed = {**holding, **(metrics or {}).get(name, {})}
+        table[name] = (lambda reg, seed, fixed=fixed: fixed, gates)
+    monkeypatch.setattr(cli, "_CERTIFICATES", table)
 
 
 def test_certificate_suite_failure_exits_2(tmp_path, capsys, monkeypatch):
-    # stub the suites so the aggregation and exit code are what's under test
-    for name in _SUITE_NAMES:
-        monkeypatch.setattr(cli, name, lambda *a: True)
-    monkeypatch.setattr(cli, "_suite_tweedie", lambda *a: False)
+    # stub the checks so the gate rows, the report and the exit code are
+    # what's under test; cosine_max_gap must be > 0.1, so 0.1 fails one row
+    stub_certificates(monkeypatch, {"sandwich": {"cosine_max_gap": 0.1}})
     path = write_config(tmp_path / "c.ini", CERT_CFG)
     rc = cli.main(["certificate-suite", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 2
-    report = (tmp_path / "o_certificates.txt").read_text()
-    assert "tweedie_oracle = FAIL" in report
+    report = (tmp_path / "o_certificates.txt").read_text().splitlines()
+    assert "sandwich = FAIL" in report
+    assert "sandwich.cosine_max_gap = 0.10000000000000001" in report
+    assert "sandwich.quadratic_max_gap = 9.9999999999999995e-08" in report
     assert "route_agreement = PASS" in report
-    assert "overall = FAIL" in report
-    assert "overall: FAIL" in capsys.readouterr().out
+    assert report[-1] == "overall = FAIL"
+    out = capsys.readouterr().out
+    assert "sandwich: FAIL" in out and "overall: FAIL" in out
 
 
 def test_certificate_suite_all_green_exits_0(tmp_path, monkeypatch):
-    for name in _SUITE_NAMES:
-        monkeypatch.setattr(cli, name, lambda *a: True)
+    stub_certificates(monkeypatch)
     path = write_config(tmp_path / "c.ini", CERT_CFG)
     rc = cli.main(["certificate-suite", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 0
-    report = (tmp_path / "o_certificates.txt").read_text()
-    assert "overall = PASS" in report
+    report = (tmp_path / "o_certificates.txt").read_text().splitlines()
+    assert [line for line in report if " = FAIL" in line] == []
+    assert report[-1] == "overall = PASS"
+
+
+def test_nan_or_missing_metric_fails_every_gate_row():
+    # NaN compares False every way; an abs(gap) > bound test, for one,
+    # would let a NaN gap pass
+    for comparison in cli._COMPARISONS:
+        assert not cli._passes({"m": math.nan}, [("m", comparison, 0.0)])
+        assert not cli._passes({}, [("m", comparison, 0.0)])
+    for _, gates in cli._CERTIFICATES.values():
+        for row in gates:
+            assert not cli._passes({row[0]: math.nan}, [row])
+
+
+def test_gate_rows_name_reported_metrics():
+    golden = (ROOT / "tests" / "data" / "golden_certificates.txt").read_text().splitlines()
+    keys = {line.partition(" = ")[0] for line in golden}
+    for name, (_, gates) in cli._CERTIFICATES.items():
+        assert name in keys
+        for metric, _, _ in gates:
+            assert f"{name}.{metric}" in keys
+
+
+def test_readme_lists_the_gate_rows():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("The gate rows, in run order:\n\n```\n", 1)[1].split("```", 1)[0]
+    documented = []
+    for line in block.splitlines():
+        row, comparison, threshold = line.split()
+        documented.append((*row.split("."), comparison, float(threshold)))
+    assert documented == [
+        (name, *row) for name, (_, gates) in cli._CERTIFICATES.items() for row in gates
+    ]
+
+
+def test_certificate_suite_rejects_malformed_unread_key(tmp_path, capsys):
+    # the suite reads no [solver] key, yet a bad value there is an error
+    path = write_config(tmp_path / "c.ini", CERT_CFG + "    [solver]\n    init = sideways\n")
+    rc = cli.main(["certificate-suite", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "line 9: bad value for solver.init" in capsys.readouterr().err
+    assert not (tmp_path / "o_certificates.txt").exists()

@@ -9,11 +9,13 @@ from mmseprox import (
     DivergenceError,
     Fidelity,
     Init,
+    IterRecord,
     Marginal,
     MixturePrior,
     NoiseModel,
     Regularizer,
     SolverConfig,
+    SolverTrace,
     descent_check,
     gaussian_blur_kernel,
     psnr,
@@ -165,6 +167,16 @@ def test_rate_certificate_needs_enough_records():
     trace = run(den, fid, reg, SolverConfig(max_iters=5))
     with pytest.raises(ValueError):
         rate_certificate(trace)
+
+
+def test_rate_certificate_checks_the_last_record():
+    # L = 0.5 gives C = 3 and F1 - F* = 1, so the bound 3 / sqrt(k) first
+    # drops below the best residual 0.88 at k = 12, the last record
+    records = [IterRecord(k, 1.0, 0.88, 0.88, 0.0, 0.0) for k in range(1, 13)]
+    trace = SolverTrace(records, [], np.zeros(1), final_objective=0.0, lipschitz=0.5)
+    cert = rate_certificate(trace)
+    assert cert.C == pytest.approx(3.0)
+    assert cert.violations == (12,)
 
 
 def test_solver_config_validation():
