@@ -2,8 +2,8 @@
 
 Every map here acts elementwise on an array of any shape, one scalar
 denoising problem per entry.  The primary evaluation route is the score
-identity ``apply(z) = z - sigma2 * f_Z'(z)``, which shares every digit with
-the marginal's evaluation pass.  ``posterior_mean`` recomputes the same
+identity ``apply(z) = z - sigma2 * f_Z'(z)``, on the marginal's score-only
+pass, which shares every digit with its full evaluation pass.  ``posterior_mean`` recomputes the same
 quantity from the Bayes integral instead (exact component responsibilities
 for all-Gaussian priors, adaptive quadrature otherwise) and exists so that
 the two independent routes can be checked against each other.
@@ -57,7 +57,9 @@ class Denoiser:
     def scalar_apply(self, zs) -> np.ndarray:
         """Elementwise denoiser on raw coordinate arrays."""
         zs = np.asarray(zs, dtype=float)
-        return zs - self.sigma2 * self.marginal.scalar_f(zs)[1]
+        out = self.marginal.scalar_score(zs)
+        out *= self.sigma2
+        return np.subtract(zs, out, out=out)
 
     def scalar_derivative(self, zs) -> np.ndarray:
         """Elementwise derivative, equal to Var(X | Z = z) / sigma2 >= 0."""

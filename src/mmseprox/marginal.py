@@ -35,10 +35,23 @@ additions happen in the same order either way, so the digits do not
 depend on the layout; from eight rows on numpy's pairwise summation
 regroups the sum, which moves the last bits only.
 
-Two passes share the log terms and the log-sum-exp: ``scalar_f`` returns
-``(f_Z, f_Z', f_Z'')``, and ``scalar_value`` returns ``f_Z`` alone and
-skips the ratio rows, for callers that read only the value (the Moreau
-envelope searches, the explicit route, the anchor constant).
+Three passes share the log terms and the log-sum-exp, and each returns
+the same bits as the matching output of the full pass:
+
+* ``scalar_f`` returns ``(f_Z, f_Z', f_Z'')``, for Newton in the
+  denoiser's inversion;
+* ``scalar_value`` returns ``f_Z`` alone and skips the ratio rows, for
+  callers that read only the value (the Moreau envelope searches, the
+  explicit route, the anchor constant);
+* ``scalar_score`` returns ``f_Z'`` alone and skips ``log(norm)`` and the
+  curvature rows, for the denoiser's forward map.
+
+Each pass owns its temporaries and never writes into its input: the shared
+steps run in place on arrays the pass allocated itself (the Gaussian rows,
+the shifted exponentials, the responsibilities), in the same operation
+order as the out-of-place formulas, so no digit depends on which pass ran.
+On 65536 points of a two-component prior this keeps ``scalar_score`` at
+about five input-sized arrays at its peak.
 """
 
 from __future__ import annotations
@@ -103,17 +116,23 @@ class Marginal:
     def sigma2(self) -> float:
         return self.noise.sigma2
 
-    # -- shared evaluation pass --------------------------------------------
+    # -- shared evaluation passes -------------------------------------------
 
     def scalar_f(self, zs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Elementwise ``(f_Z, f_Z', f_Z'')`` on an array of any shape."""
         zs, flat = self._flatten(zs)
-        terms, ratio_blocks = self._log_terms(flat)
-        f, resp, norm = self._log_sum_exp(terms)
-        slope, curve = (_stack(rows) for rows in zip(*(ratios() for ratios in ratio_blocks)))
+        terms, blocks = self._log_terms(flat)
+        m, norm = self._exp_shifted(terms)
+        f = -(m + np.log(norm))
+        slopes = [slope_rows() for slope_rows, _ in blocks]
+        curves = [curve_rows(s) for (_, curve_rows), s in zip(blocks, slopes)]
+        slope, curve = _stack(slopes), _stack(curves)
+        resp = terms
         resp /= norm
-        s1 = (resp * slope).sum(axis=0)
-        s2 = (resp * curve).sum(axis=0)
+        slope *= resp
+        curve *= resp
+        s1 = slope.sum(axis=0)
+        s2 = curve.sum(axis=0)
         f1, f2 = -s1, -s2 + s1**2
         return f.reshape(zs.shape), f1.reshape(zs.shape), f2.reshape(zs.shape)
 
@@ -124,8 +143,26 @@ class Marginal:
         ratio rows that only the derivatives need.
         """
         zs, flat = self._flatten(zs)
-        terms, _ = self._log_terms(flat)
-        return self._log_sum_exp(terms)[0].reshape(zs.shape)
+        terms = self._log_terms(flat)[0]
+        m, norm = self._exp_shifted(terms)
+        f = np.log(norm, out=norm)
+        f += m
+        return np.negative(f, out=f).reshape(zs.shape)
+
+    def scalar_score(self, zs) -> np.ndarray:
+        """Elementwise ``f_Z'`` alone, equal to ``scalar_f(zs)[1]`` bit for bit.
+
+        The same log terms, log-sum-exp and slope rows as ``scalar_f``,
+        without ``log(norm)`` and the curvature rows.
+        """
+        zs, flat = self._flatten(zs)
+        terms, blocks = self._log_terms(flat)
+        norm = self._exp_shifted(terms)[1]
+        resp = terms
+        resp /= norm
+        resp *= _stack([slope_rows() for slope_rows, _ in blocks])
+        s1 = resp.sum(axis=0)
+        return np.negative(s1, out=s1).reshape(zs.shape)
 
     @staticmethod
     def _flatten(zs) -> tuple[np.ndarray, np.ndarray]:
@@ -136,9 +173,12 @@ class Marginal:
 
     def _log_terms(self, flat):
         """Rows ``log w_i + log q_i``, shape ``(K, n)``, Gaussian components
-        first, then each Laplace component in prior order; and, per block
-        of rows, a callable returning that block's ``(q_i'/q_i, q_i''/q_i)``
-        rows from the intermediates already computed."""
+        first, then each Laplace component in prior order, in a fresh array
+        the caller owns; and, per block of rows, a pair of callables
+        ``(slope, curve)``.  ``slope()`` returns the block's ``q_i'/q_i``
+        rows and may be called once; ``curve(s)`` returns its ``q_i''/q_i``
+        rows given those slope rows ``s``.  Both reuse the intermediates
+        already computed."""
         blocks = []
         if self._gaussian is not None:
             blocks.append(self._gaussian_components(flat, *self._gaussian))
@@ -147,26 +187,34 @@ class Marginal:
         return _stack([terms for terms, _ in blocks]), [ratios for _, ratios in blocks]
 
     @staticmethod
-    def _log_sum_exp(terms):
-        """``f_Z`` from the component rows, with the unnormalized
-        responsibilities and their column sums for the derivatives."""
+    def _exp_shifted(terms):
+        """The log-sum-exp, in place: turns the rows into the unnormalized
+        responsibilities ``exp(terms - m)`` and returns the column max ``m``
+        and the column sums ``norm``, so that ``f_Z = -(m + log(norm))``."""
         m = terms.max(axis=0)
-        resp = np.exp(terms - m)
-        norm = resp.sum(axis=0)
-        return -(m + np.log(norm)), resp, norm
+        terms -= m
+        np.exp(terms, out=terms)
+        return m, terms.sum(axis=0)
 
     @staticmethod
     def _gaussian_components(zs, lognorm, mu, var):
         """Closed-form convolution of Gaussian components, one row each:
         each is again Gaussian, with variance ``scale**2 + sigma2``."""
         dev = zs - mu
-        terms = lognorm - 0.5 * dev**2 / var
+        terms = np.square(dev)
+        terms *= 0.5
+        terms /= var
+        np.subtract(lognorm, terms, out=terms)
 
-        def ratios():
-            slope = -dev / var
-            return slope, slope**2 - 1.0 / var
+        def slope():
+            # -dev / var, written over dev (nothing else reads it).
+            np.negative(dev, out=dev)
+            return np.divide(dev, var, out=dev)
 
-        return terms, ratios
+        def curve(slope):
+            return slope**2 - 1.0 / var
+
+        return terms, (slope, curve)
 
     def _laplace_component(self, zs, logw, mu, b):
         """Kink-split convolution of one Laplace component (exact).
@@ -193,10 +241,11 @@ class Marginal:
         el = np.exp(log_l - m)
         logq = m + np.log(er + el)
 
-        def ratios():
-            r1 = (el - er) / (b * (el + er))
-            log_gauss = -0.5 * (_LOG_2PI + np.log(self.sigma2)) - 0.5 * d**2 / self.sigma2
-            r2 = (1.0 - np.exp(log_gauss - logq)) / b**2
-            return r1[None, :], r2[None, :]
+        def slope():
+            return ((el - er) / (b * (el + er)))[None, :]
 
-        return (logw + logq)[None, :], ratios
+        def curve(_slope):
+            log_gauss = -0.5 * (_LOG_2PI + np.log(self.sigma2)) - 0.5 * d**2 / self.sigma2
+            return ((1.0 - np.exp(log_gauss - logq)) / b**2)[None, :]
+
+        return (logw + logq)[None, :], (slope, curve)

@@ -118,8 +118,12 @@ class Fidelity:
     def grad(self, x) -> np.ndarray:
         shape = self.op.image_shape
         img = _as_vector(x, self.op.input_size, "input").reshape(shape)
-        out = np.fft.irfft2(self._gram * np.fft.rfft2(img) - self._aty_hat, shape)
-        return self.lam * out.reshape(-1)
+        spec = np.fft.rfft2(img)
+        spec *= self._gram
+        spec -= self._aty_hat
+        out = np.fft.irfft2(spec, shape).reshape(-1)
+        out *= self.lam
+        return out
 
     def lipschitz(self) -> float:
         return self.lam * self.op.operator_norm() ** 2

@@ -144,7 +144,9 @@ def run(
             raise ValueError(f"x0 has {x.size} entries, operator expects {fid.op.input_size}")
     else:
         x = _initial_point(fid, cfg.init)
-    iterates = [x.copy()]
+    # Every x here is a fresh array that nothing writes into, so the
+    # iterates are kept without copies.
+    iterates = [x]
     records: list[IterRecord] = []
     F = objective(x)
     best = math.inf
@@ -158,8 +160,11 @@ def run(
                 SolverTrace(records, iterates, iterates[-1], float(F), float(L)),
             )
         g_next = fid.grad(x_next)
-        res = float(np.linalg.norm((x - x_next) + g_next - g))
-        step = float(np.linalg.norm(x - x_next))
+        diff = x - x_next
+        step = float(np.linalg.norm(diff))
+        diff += g_next
+        diff -= g
+        res = float(np.linalg.norm(diff))
         F_next = objective(x_next)
         best = min(best, res)
         records.append(
@@ -173,7 +178,7 @@ def run(
             )
         )
         x, g, F = x_next, g_next, F_next
-        iterates.append(x.copy())
+        iterates.append(x)
 
     return SolverTrace(records, iterates, iterates[-1], float(F), float(L))
 

@@ -9,12 +9,17 @@ import numpy as np
 __all__ = ["fmt17", "fmt_bool", "csv_text", "write_text"]
 
 
+# printf-style spec with 17 significant digits (round-trip exact); one
+# template per CSV row joins it, so a row is formatted by one ``%``.
+_FLOAT17 = "%.17g"
+
+
 def fmt17(value: float) -> str:
     """Format a float with 17 significant digits (round-trip exact).
 
     NaN of either sign is written ``nan``, the infinities ``inf``/``-inf``.
     """
-    return format(float(value), ".17g")
+    return _FLOAT17 % float(value)
 
 
 def fmt_bool(flag) -> str:
@@ -27,13 +32,18 @@ def csv_text(header: str | None, columns) -> str:
 
     Boolean columns are written with ``fmt_bool``, all others with ``fmt17``.
     """
-    cells = []
+    specs, cells = [], []
     for column in columns:
         column = np.asarray(column)
-        fmt = fmt_bool if column.dtype == bool else fmt17
-        cells.append([fmt(v) for v in column.tolist()])
+        if column.dtype == bool:
+            specs.append("%s")
+            cells.append([fmt_bool(v) for v in column.tolist()])
+        else:
+            specs.append(_FLOAT17)
+            cells.append(column.tolist())
+    template = ",".join(specs)
     lines = [] if header is None else [header]
-    lines.extend(",".join(row) for row in zip(*cells))
+    lines.extend(template % row for row in zip(*cells))
     return "\n".join(lines) + "\n"
 
 

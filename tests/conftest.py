@@ -85,6 +85,10 @@ class TwoPointMarginal:
     def scalar_value(cls, zs):
         return cls.scalar_f(zs)[0]
 
+    @classmethod
+    def scalar_score(cls, zs):
+        return cls.scalar_f(zs)[1]
+
 
 @pytest.fixture
 def two_point_denoiser() -> Denoiser:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
@@ -152,17 +154,23 @@ def test_far_targets_of_an_unbounded_image_are_bracketed():
 def test_bracket_ends_are_evaluated_once(monkeypatch):
     # The start bracket x -+ 10 sigma already holds the preimage (D(y) =
     # y / 1.25), so inversion evaluates each bracket end once and every
-    # later f_Z pass is a Newton step.
+    # later f_Z pass is a Newton step.  The bracket ends go through the
+    # score-only pass and Newton through the full one; both are counted.
     marg = make_marginal("gauss1", 0.25)
     den = Denoiser(marg)
     seen = []
-    scalar_f = marg.scalar_f
 
-    def counting(zs):
-        seen.append(np.array(zs, dtype=float))
-        return scalar_f(zs)
+    def counting(name):
+        evaluate = getattr(marg, name)
 
-    monkeypatch.setattr(marg, "scalar_f", counting)
+        def wrapped(zs):
+            seen.append(np.array(zs, dtype=float))
+            return evaluate(zs)
+
+        return wrapped
+
+    for name in ("scalar_f", "scalar_score"):
+        monkeypatch.setattr(marg, name, counting(name))
     x = 0.3
     ys, res, ok = den.scalar_invert(np.array([x]))
     assert ok.all() and res[0] <= 1e-10
@@ -204,3 +212,30 @@ def test_posterior_mean_far_tail_laplace():
     den = Denoiser(make_marginal("laplace1", 0.25))
     # far in the tail the Laplace score is exactly 1/b, so psi(z) = z - sigma2
     assert den.apply(40.0) == pytest.approx(40.0 - 0.25, abs=1e-9)
+
+
+def test_scalar_apply_leaves_its_input_unchanged(marginal_case):
+    _, _, marg = marginal_case
+    den = Denoiser(marg)
+    for zs in (np.linspace(-40.0, 40.0, 801), np.linspace(-3.0, 3.0, 12).reshape(3, 4),
+               np.array(0.4)):
+        before = zs.copy()
+        out = den.scalar_apply(zs)
+        assert np.array_equal(zs, before)
+        assert out.shape == zs.shape and not np.shares_memory(out, zs)
+
+
+def test_scalar_apply_allocation_peak():
+    # D needs only f_Z', so its pass keeps a few input-sized temporaries;
+    # the full (f, f', f'') route it replaced peaked at 17 of them on this
+    # input.  A byte count, unlike a timing, is the same on every run.
+    den = Denoiser(make_marginal("gmix2", 0.04))
+    zs = np.random.default_rng(0).standard_normal(65536) * 3.0
+    den.scalar_apply(zs)
+    tracemalloc.start()
+    try:
+        den.scalar_apply(zs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * zs.nbytes, peak / zs.nbytes

@@ -5,7 +5,7 @@ import pytest
 
 from mmseprox import ComponentKind, Marginal, MixturePrior, NoiseModel
 
-from conftest import make_marginal, make_prior
+from conftest import MARGINAL_NAMES, make_marginal, make_prior
 
 # Frozen oracle table computed with 40-digit arithmetic from the raw density
 # definitions (mixture-of-Gaussians marginals in closed form; priors with a
@@ -125,18 +125,48 @@ def test_separable_mode_sums():
         assert marg.scalar_value(z).sum() == scalar.scalar_f(z)[0].sum()
 
 
-# Grid in [-40, 40] plus both far tails.
-VALUE_ZS = np.concatenate([np.linspace(-40.0, 40.0, 4001), [-300.0, 300.0]])
+# Grid in [-40, 40] plus both far tails, out to |z| = 1e3.
+VALUE_ZS = np.concatenate([np.linspace(-40.0, 40.0, 4001), [-1e3, -300.0, 300.0, 1e3]])
+
+
+def _assert_single_output_passes_equal_scalar_f(marg):
+    """scalar_value and scalar_score return scalar_f's value and score bit
+    for bit, on a flat grid, a 2-D grid and 0-d points."""
+    grid = VALUE_ZS[1:].reshape(4, -1)
+    for zs in (VALUE_ZS, grid):
+        f, f1, _ = marg.scalar_f(zs)
+        assert np.all(np.isfinite(f)) and np.all(np.isfinite(f1))
+        assert np.array_equal(marg.scalar_value(zs), f)
+        assert np.array_equal(marg.scalar_score(zs), f1)
+    for z in (0.4, -1e3, np.float64(1e3)):
+        f, f1, _ = marg.scalar_f(z)
+        value, score = marg.scalar_value(z), marg.scalar_score(z)
+        assert value.shape == score.shape == ()
+        assert value == f and score == f1
 
 
 def test_scalar_value_is_scalar_f_value(marginal_case):
     _, _, marg = marginal_case
-    assert np.array_equal(marg.scalar_value(VALUE_ZS), marg.scalar_f(VALUE_ZS)[0])
-    assert np.array_equal(marg.scalar_value(VALUE_ZS[1:].reshape(2, -1)),
-                          marg.scalar_f(VALUE_ZS[1:].reshape(2, -1))[0])
-    assert marg.scalar_value(0.4).shape == ()
-    with pytest.raises(ValueError):
-        marg.scalar_value(np.array([0.0, np.nan]))
+    _assert_single_output_passes_equal_scalar_f(marg)
+    for single_output in (marg.scalar_value, marg.scalar_score):
+        with pytest.raises(ValueError):
+            single_output(np.array([0.0, np.nan]))
+
+
+@pytest.mark.parametrize("sigma2", (1e-3, 0.04, 100.0))
+@pytest.mark.parametrize("name", MARGINAL_NAMES)
+def test_single_output_passes_at_extreme_noise_levels(name, sigma2):
+    _assert_single_output_passes_equal_scalar_f(make_marginal(name, sigma2))
+
+
+def test_passes_leave_their_input_unchanged(marginal_case):
+    _, _, marg = marginal_case
+    for zs in (VALUE_ZS, VALUE_ZS[1:].reshape(4, -1), np.array(0.4)):
+        before = zs.copy()
+        outputs = [*marg.scalar_f(zs), marg.scalar_value(zs), marg.scalar_score(zs)]
+        assert np.array_equal(zs, before)
+        # Each output is a fresh array, so a caller may write into it.
+        assert not any(np.shares_memory(out, zs) for out in outputs)
 
 
 def _fsum_reference(z, weights, locations, scales, sigma2):

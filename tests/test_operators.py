@@ -122,6 +122,19 @@ def test_fidelity_value_and_gradient():
     np.testing.assert_allclose(fid.grad(x_star), 0.0, atol=1e-10)
 
 
+def test_fidelity_grad_leaves_its_input_unchanged():
+    rng = np.random.default_rng(3)
+    op = CircularConv2D(gaussian_blur_kernel(3, 0.25), (8, 6))
+    fid = Fidelity.auto(op, rng.standard_normal(48))
+    x = rng.standard_normal(48)
+    before, y = x.copy(), fid.y.copy()
+    g = fid.grad(x)
+    assert np.array_equal(x, before) and np.array_equal(fid.y, y)
+    assert not np.shares_memory(g, x)
+    # The spectrum is changed in place inside grad; the cached A^T y must not be.
+    assert np.array_equal(fid.grad(x), g)
+
+
 def test_fidelity_lipschitz_and_auto():
     rng = np.random.default_rng(21)
     op = CircularConv2D(rng.standard_normal((2, 3)), (2, 3))

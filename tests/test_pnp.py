@@ -118,6 +118,20 @@ def test_init_modes():
     assert not np.allclose(t1.iterates[0], t2.iterates[0])
 
 
+def test_run_leaves_its_inputs_unchanged():
+    den, reg, fid, truth, y, cfg = small_deblur_problem(max_iters=5)
+    x0 = np.random.default_rng(4).standard_normal(y.size)
+    before_x0, before_y = x0.copy(), fid.y.copy()
+    for trace in (run(den, fid, reg, cfg, x0=x0),
+                  run(den, fid, reg, SolverConfig(max_iters=5, init=Init.OBSERVATION))):
+        assert np.array_equal(x0, before_x0) and np.array_equal(fid.y, before_y)
+        # The iterates are kept without copies; each must still be its own array.
+        arrays = [x0, fid.y, *trace.iterates]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                       for b in arrays[i + 1:])
+        assert trace.final_x is trace.iterates[-1]
+
+
 def test_lipschitz_at_least_one_rejected():
     den, reg = unit_gauss_model(2)
     fid = Fidelity(identity(2), np.zeros(2), 1.0)  # L = 1.0

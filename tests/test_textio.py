@@ -43,3 +43,25 @@ def test_csv_text_grid_rows():
     assert len(lines) == h
     for line, row in zip(lines, a.reshape(h, w)):
         assert line == ",".join(fmt17(v) for v in row)
+
+
+def test_csv_text_matches_per_value_format():
+    # One printf template per row must write exactly what one
+    # format(float(v), ".17g") per value writes.
+    tiny, huge = 5e-324, 1.7976931348623157e308
+    floats = np.array([math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, tiny, -tiny,
+                       huge, -huge, 1.0 / 3.0, 2.2250738585072014e-308, 1e22, 123456789.0])
+    rng = np.random.default_rng(5)
+    floats = np.concatenate([floats, rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50)])
+    n = floats.size
+    ints = np.arange(n) * 1_000_003 - 7
+    flags = rng.random(n) < 0.5
+    columns = (ints, floats, flags, floats[::-1].copy(), list(range(n)))
+    want = [",".join([format(float(i), ".17g"), format(float(a), ".17g"),
+                      "true" if f else "false", format(float(b), ".17g"),
+                      format(float(k), ".17g")])
+            for i, a, f, b, k in zip(ints, floats, flags, floats[::-1], range(n))]
+    assert csv_text(None, columns) == "\n".join(want) + "\n"
+    assert csv_text("i,a,ok,b,k", columns) == "i,a,ok,b,k\n" + "\n".join(want) + "\n"
+    for v in floats:
+        assert fmt17(v) == format(float(v), ".17g")
