@@ -113,7 +113,9 @@ class Fidelity:
 
     def value(self, x) -> float:
         r = self.op.apply(x) - self.y
-        return 0.5 * self.lam * float(r @ r)
+        # numpy's pairwise sum, not BLAS ddot, whose digits depend on the
+        # thread count for long vectors.
+        return 0.5 * self.lam * float(np.add.reduce(r * r))
 
     def grad(self, x) -> np.ndarray:
         shape = self.op.image_shape

@@ -104,6 +104,12 @@ class DivergenceError(RuntimeError):
         self.trace = trace
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm by numpy's own pairwise sum.  BLAS nrm2 splits long
+    vectors across threads, so its last digits depend on the thread count."""
+    return math.sqrt(float(np.add.reduce(v * v)))
+
+
 def _initial_point(fid: Fidelity, init: Init) -> np.ndarray:
     if init == Init.ZEROS:
         return np.zeros(fid.op.input_size)
@@ -161,10 +167,10 @@ def run(
             )
         g_next = fid.grad(x_next)
         diff = x - x_next
-        step = float(np.linalg.norm(diff))
+        step = _norm(diff)
         diff += g_next
         diff -= g
-        res = float(np.linalg.norm(diff))
+        res = _norm(diff)
         F_next = objective(x_next)
         best = min(best, res)
         records.append(

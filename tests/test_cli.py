@@ -364,6 +364,28 @@ def test_deblur_bytes_do_not_depend_on_earlier_runs(tmp_path, capsys):
     assert digests["after"] == digests["fresh"]
 
 
+def test_deblur_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # From about 10^4 entries on, a threaded BLAS splits dot products and
+    # norms across threads, which regroups their sums; at 128 x 128 a run
+    # with one thread and a run with two must still write the same bytes.
+    # Three steps keep the recorded objectives (F needs the fidelity value)
+    # affordable.
+    path = deblur_config(tmp_path, side=128, max_iters=3)
+    code = "import sys; from mmseprox import cli; sys.exit(cli.main(sys.argv[1:]))"
+    digests = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        out = tmp_path / f"t{threads}"
+        subprocess.run([sys.executable, "-c", code, "deblur", "--config", str(path),
+                        "--out", str(out)], env=env, check=True, capture_output=True, timeout=120)
+        digests[threads] = [
+            hashlib.sha256((tmp_path / f"t{threads}_{name}.csv").read_bytes()).hexdigest()
+            for name in ("trace", "reconstruction")
+        ]
+    assert digests["1"] == digests["2"]
+
+
 def set_kernel(path: Path, kernel: str) -> Path:
     text = "\n".join(
         f"kernel = {kernel}" if line.startswith("kernel =") else line
