@@ -3,10 +3,11 @@
 Every map here acts elementwise on an array of any shape, one scalar
 denoising problem per entry.  The primary evaluation route is the score
 identity ``apply(z) = z - sigma2 * f_Z'(z)``, on the marginal's score-only
-pass, which shares every digit with its full evaluation pass.  ``posterior_mean`` recomputes the same
-quantity from the Bayes integral instead (exact component responsibilities
-for all-Gaussian priors, adaptive quadrature otherwise) and exists so that
-the two independent routes can be checked against each other.
+pass, which shares every digit with its full evaluation pass.
+``posterior_mean`` recomputes the same quantity from the Bayes integral
+instead (exact component responsibilities for all-Gaussian priors, adaptive
+quadrature otherwise) and exists so that the two independent routes can be
+checked against each other.
 
 ``scalar_invert`` solves apply(y) = x for y.  The denoiser is strictly
 increasing (its derivative is the posterior variance over sigma2), so a
