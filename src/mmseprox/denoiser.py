@@ -10,9 +10,11 @@ quadrature otherwise) and exists so that the two independent routes can be
 checked against each other.
 
 ``scalar_invert`` solves apply(y) = x for y.  The denoiser is strictly
-increasing (its derivative is the posterior variance over sigma2), so a
-bracket plus safeguarded Newton always converges when x lies in the image;
-bracket expansion failure is how points outside the image are detected.
+increasing (its derivative is the posterior variance over sigma2), and the
+marginal's ``preimage_bracket`` holds the preimage of every x, so a
+safeguarded Newton iteration on that bracket converges wherever x lies in
+the image.  It reports each residual and decides nothing: a point whose
+residual stays large lies outside the image.
 """
 
 from __future__ import annotations
@@ -26,11 +28,6 @@ from .prior import ComponentKind
 
 __all__ = ["Denoiser", "QuadratureError"]
 
-# Bracket expansion gives up once the bracket is this many times
-# max(sigma, |x|) away from the target x; beyond it the target is treated
-# as outside the image of the denoiser.  Scaling with |x| keeps far targets
-# of a denoiser whose image is R (D(y) ~ c*y with c < 1) inside it.
-_BRACKET_HORIZON = 1e6
 # Newton steps of the inversion, the residual |apply(y) - x| at which a
 # point counts as solved (and, in the regularizer, as inside the image),
 # and the relative accuracy asked of each posterior-mean quadrature.
@@ -150,39 +147,25 @@ class Denoiser:
 
     # -- inversion ---------------------------------------------------------------
 
-    def scalar_invert(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def scalar_invert(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized inverse of the denoiser.
 
-        Returns ``(preimages, residuals, bracketed)``, each of the shape of
-        ``xs``.  Coordinates whose bracket cannot be expanded to contain
-        ``x`` within the horizon are reported unbracketed; their preimage is
-        the best bracket endpoint.  Each point is solved as if alone: it
-        leaves the Newton iteration once its residual is at most
-        ``INVERT_TOL``.
+        Returns ``(preimages, residuals)``, each of the shape of ``xs``,
+        with residual ``|apply(y) - x|``.  Newton starts from x clipped
+        into the marginal's ``preimage_bracket``, and each f_Z pass shrinks
+        the bracket to the side that holds the root.  A Newton step is
+        taken only if it lands strictly inside the bracket and moves at
+        most half its width; otherwise the bracket is bisected.  Each
+        point is solved as if alone: it leaves the iteration once its
+        residual is at most ``INVERT_TOL``, or after ``_NEWTON_MAX_ITERS``
+        steps, with whatever residual it has then.
         """
         shape = np.shape(xs)
         xs = np.asarray(xs, dtype=float).reshape(-1)
-        sigma = np.sqrt(self.sigma2)
-        lo = xs - 10.0 * sigma
-        hi = xs + 10.0 * sigma
-        horizon = _BRACKET_HORIZON * np.maximum(sigma, np.abs(xs))
-
-        # Geometric bracket expansion; apply() is increasing, so only the
-        # side whose value has the wrong sign needs to grow.
-        for _ in range(64):
-            at_lo, at_hi = self.scalar_apply(lo), self.scalar_apply(hi)
-            need_lo = (at_lo > xs) & ((xs - lo) < horizon)
-            need_hi = (at_hi < xs) & ((hi - xs) < horizon)
-            if not (need_lo.any() or need_hi.any()):
-                break
-            lo = np.where(need_lo, xs - 2.0 * (xs - lo), lo)
-            hi = np.where(need_hi, xs + 2.0 * (hi - xs), hi)
-        else:
-            at_lo, at_hi = self.scalar_apply(lo), self.scalar_apply(hi)
-        bracketed = (at_lo <= xs) & (at_hi >= xs)
+        lo, hi = self.marginal.preimage_bracket(xs)
+        y = np.clip(xs, lo, hi)
 
         # One f_Z pass per Newton step gives both the residual and the slope.
-        y = 0.5 * (lo + hi)
         preimages, residuals = np.empty_like(y), np.empty_like(y)
         rows = np.arange(y.size)
         for step in range(_NEWTON_MAX_ITERS + 1):
@@ -204,6 +187,6 @@ class Denoiser:
             dy = 1.0 - self.sigma2 * f2
             with np.errstate(divide="ignore", invalid="ignore"):
                 newton = y - fy / dy
-            inside = (newton > lo) & (newton < hi) & np.isfinite(newton)
-            y = np.where(inside, newton, 0.5 * (lo + hi))
-        return preimages.reshape(shape), residuals.reshape(shape), bracketed.reshape(shape)
+            take = (newton > lo) & (newton < hi) & (np.abs(newton - y) <= 0.5 * (hi - lo))
+            y = np.where(take, newton, 0.5 * (lo + hi))
+        return preimages.reshape(shape), residuals.reshape(shape)

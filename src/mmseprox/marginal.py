@@ -8,8 +8,8 @@ are mutually consistent; downstream identities (denoiser inversion, the
 envelope reconstruction of the regularizer) are sensitive to mixed
 accuracy between f_Z and its derivatives.
 
-Each component kind has one exact formula for its convolved density q_i
-and the ratios q_i'/q_i, q_i''/q_i:
+Each component kind has one exact formula for its convolved density q_i,
+its slope q_i'/q_i and its curvature (log q_i)'':
 
 * Gaussian -- the convolution is again Gaussian, with variance
   ``scale**2 + sigma2``; all Gaussian components are evaluated together
@@ -51,7 +51,7 @@ steps run in place on arrays the pass allocated itself (the Gaussian rows,
 the shifted exponentials, the responsibilities), in the same operation
 order as the out-of-place formulas, so no digit depends on which pass ran.
 On 65536 points of a two-component prior the peaks are 6 input-sized
-arrays for ``scalar_score``, 4 for ``scalar_value`` and 13 for
+arrays for ``scalar_score``, 4 for ``scalar_value`` and 9 for
 ``scalar_f``.
 """
 
@@ -104,13 +104,17 @@ class Marginal:
         # ~1e5 times on small inputs in the certificate suite.  Gaussian
         # components are (K, 1) columns of (log w_i - log sqrt(2 pi var_i),
         # mu_i, var_i = s_i^2 + sigma2); Laplace ones (log w, mu, b).
+        # The prior's own s_i^2 is kept for preimage_bracket: var_i - sigma2
+        # would cancel when s_i << sigma.
         gauss = prior._gauss
         logw = np.log(prior._w)
         self._gaussian = None
         if gauss.any():
-            var = (prior._sc[gauss] ** 2 + noise.sigma2)[:, None]
+            s2 = (prior._sc[gauss] ** 2)[:, None]
+            var = s2 + noise.sigma2
             lognorm = logw[gauss][:, None] - 0.5 * (_LOG_2PI + np.log(var))
             self._gaussian = (lognorm, prior._mu[gauss][:, None], var)
+            self._gaussian_s2 = s2
         self._laplace = [(logw[i], prior._mu[i], prior._sc[i]) for i in np.flatnonzero(~gauss)]
 
     @property
@@ -130,12 +134,17 @@ class Marginal:
         slopes = [slope_rows() for slope_rows, _ in blocks]
         curves = [curve_rows(s) for (_, curve_rows), s in zip(blocks, slopes)]
         slope, curve = _stack(slopes), _stack(curves)
+        s1 = (slope * resp).sum(axis=0)
+        # f_Z'' = -sum r_i ((log q_i)'' + (s_i - s1)^2).  No term grows with
+        # the slope itself, whereas sum r_i q_i''/q_i - s1^2 subtracts two
+        # squares of it (~1e13 for a narrow Gaussian at y ~ 1e6) and cancels.
+        slope -= s1
+        np.square(slope, out=slope)
+        slope += curve
         slope *= resp
-        curve *= resp
-        s1 = slope.sum(axis=0)
-        s2 = curve.sum(axis=0)
-        f1, f2 = -s1, -s2 + s1**2
-        return f.reshape(zs.shape), f1.reshape(zs.shape), f2.reshape(zs.shape)
+        f2 = slope.sum(axis=0)
+        np.negative(f2, out=f2)
+        return f.reshape(zs.shape), np.negative(s1).reshape(zs.shape), f2.reshape(zs.shape)
 
     def scalar_value(self, zs) -> np.ndarray:
         """Elementwise ``f_Z`` alone, equal to ``scalar_f(zs)[0]`` bit for bit.
@@ -162,6 +171,32 @@ class Marginal:
         s1 = resp.sum(axis=0)
         return np.negative(s1, out=s1).reshape(zs.shape)
 
+    def preimage_bracket(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """Elementwise ``(lo, hi)`` with ``D(lo) <= x <= D(hi)`` for the
+        denoiser ``D(y) = y - sigma2 * f_Z'(y)``.
+
+        ``D`` is the responsibility-weighted mean of the per-component
+        posterior means, each increasing in y: ``a*y + (1 - a)*mu`` with
+        ``a = s^2/(s^2 + sigma2)`` for a Gaussian component, and within
+        ``sigma2/b`` of y for a Laplace one, since ``|(log q)'| <= 1/b``.
+        So ``D(y) >= x`` once every component mean is, and ``D(y) <= x``
+        once none exceeds it: the bracket runs from the least to the
+        greatest of the per-component preimages, the Gaussian
+        ``(x*(s^2 + sigma2) - sigma2*mu)/s^2`` and the Laplace
+        ``x -/+ sigma2/b``.  It is widened by a rounding allowance, since a
+        single Gaussian collapses it onto one float.
+        """
+        xs, flat = self._flatten(xs)
+        ends = []
+        if self._gaussian is not None:
+            _, mu, var = self._gaussian
+            ends.extend((flat * var - self.sigma2 * mu) / self._gaussian_s2)
+        for _, _, b in self._laplace:
+            ends.extend((flat - self.sigma2 / b, flat + self.sigma2 / b))
+        lo, hi = np.min(ends, axis=0), np.max(ends, axis=0)
+        pad = 1e-8 * (np.maximum(np.abs(lo), np.abs(hi)) + np.sqrt(self.sigma2))
+        return (lo - pad).reshape(xs.shape), (hi + pad).reshape(xs.shape)
+
     @staticmethod
     def _flatten(zs) -> tuple[np.ndarray, np.ndarray]:
         zs = np.asarray(zs, dtype=float)
@@ -174,9 +209,9 @@ class Marginal:
         first, then each Laplace component in prior order, in a fresh array
         the caller owns; and, per block of rows, a pair of callables
         ``(slope, curve)``.  ``slope()`` returns the block's ``q_i'/q_i``
-        rows and may be called once; ``curve(s)`` returns its ``q_i''/q_i``
-        rows given those slope rows ``s``.  Both reuse the intermediates
-        already computed."""
+        rows and may be called once; ``curve(s)`` returns its
+        ``(log q_i)''`` rows given those slope rows ``s``.  Both reuse the
+        intermediates already computed."""
         blocks = []
         if self._gaussian is not None:
             blocks.append(self._gaussian_components(flat, *self._gaussian))
@@ -217,7 +252,7 @@ class Marginal:
             return np.divide(dev, var, out=dev)
 
         def curve(slope):
-            return slope**2 - 1.0 / var
+            return np.broadcast_to(-1.0 / var, slope.shape)
 
         return terms, (slope, curve)
 
@@ -232,7 +267,8 @@ class Marginal:
 
         with d = z - mu.  The Gaussian boundary terms of the two branch
         derivatives cancel, leaving q' = (L - R)/b and
-        q''/q = (1 - N(d; 0, s2)/q)/b^2.
+        q''/q = (1 - N(d; 0, s2)/q)/b^2, so (log q)'' = q''/q - (q'/q)^2
+        with |q'/q| <= 1/b.
         """
         from scipy import special  # only Laplace components need it
 
@@ -249,8 +285,8 @@ class Marginal:
         def slope():
             return ((el - er) / (b * (el + er)))[None, :]
 
-        def curve(_slope):
+        def curve(slope):
             log_gauss = -0.5 * (_LOG_2PI + np.log(self.sigma2)) - 0.5 * d**2 / self.sigma2
-            return ((1.0 - np.exp(log_gauss - logq)) / b**2)[None, :]
+            return (1.0 - np.exp(log_gauss - logq)) / b**2 - slope**2
 
         return (logw + logq)[None, :], (slope, curve)

@@ -110,9 +110,10 @@ class Regularizer:
     # -- explicit route ----------------------------------------------------------
 
     def _invert(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Preimages under the denoiser and the flags of the points in its image."""
-        ys, res, ok = self.denoiser.scalar_invert(xs)
-        return ys, ok & (res <= INVERT_TOL)
+        """Preimages under the denoiser and the flags of the points in its
+        image: those whose residual reaches ``INVERT_TOL``."""
+        ys, res = self.denoiser.scalar_invert(xs)
+        return ys, res <= INVERT_TOL
 
     def phi_explicit_profile(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Per-point explicit values (+inf off the image) and in-image flags."""

@@ -48,11 +48,7 @@ def csv_text(header: str | None, columns) -> str:
 
 
 def write_text(destination, text: str) -> None:
-    """Write ``text`` to a file-like object, or to a path whose parent
-    directory is created if missing."""
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        path = Path(destination)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+    """Write ``text`` to a path, creating its parent directory if missing."""
+    path = Path(destination)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")

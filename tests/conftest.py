@@ -81,6 +81,13 @@ class TwoPointMarginal:
         f = 0.5 * (zs**2 + 1.0) + 0.5 * np.log(2.0 * np.pi) - logcosh
         return f, zs - t, t**2
 
+    @staticmethod
+    def preimage_bracket(xs):
+        # artanh of x clipped just inside the image, widened by 1 each way;
+        # a target off the image keeps a residual of at least |x| - 1.
+        y = np.arctanh(np.clip(np.asarray(xs, dtype=float), -1.0 + 1e-12, 1.0 - 1e-12))
+        return y - 1.0, y + 1.0
+
     @classmethod
     def scalar_value(cls, zs):
         return cls.scalar_f(zs)[0]

@@ -25,11 +25,12 @@ def test_tracer_wraps_and_restores_every_name():
     assert tracer.restored()
 
 
-@pytest.mark.parametrize("name", ["deblur-32-objective", "deblur-256-plain"])
+@pytest.mark.parametrize("name", ["deblur-32-objective", "deblur-256-plain", "certificates-gmix2"])
 def test_deblur_workloads_pass_their_gates(name, tmp_path):
     # Runs traced, as a traced benchmark run does: every expected span must
     # be reached (its span_hit gate), e.g. operator_norm on the class the
-    # tracer wraps, and the gradient must cost two FFTs.
+    # tracer wraps, and the gradient must cost two FFTs.  The certificate
+    # suite is the workload that reaches the inversion spans.
     w = workloads.toy(workloads.WORKLOADS[name])
     config = tmp_path / "cfg.ini"
     config.write_text(w.config(3, str(tmp_path / "w")), encoding="utf-8")

@@ -143,6 +143,19 @@ DENOISER_CFG = """\
     """
 
 
+GMIX2_CFG = """\
+[prior]
+kinds = gaussian, gaussian
+weights = 0.5, 0.5
+locations = -2, 2
+scales = 0.5, 0.5
+[noise]
+sigma2 = 1.0
+[grid]
+points = 5
+"""
+
+
 def test_missing_config_file(tmp_path, capsys):
     rc = cli.main(["denoiser-check", "--config", str(tmp_path / "absent.ini")])
     assert rc == 1
@@ -227,6 +240,43 @@ def test_missing_domain_section_named(tmp_path, capsys):
     rc = cli.main(["denoiser-check", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "missing required section [prior]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, edit, code, message",
+    [
+        ("denoiser-check", ("scales = 1\n", ""), 1,
+         "missing required key 'scales' in section [prior]"),
+        ("denoiser-check", ("weights = 1\n", "weights = 0.5\n"), 1,
+         "section [prior]: component weights must sum to 1"),
+        ("denoiser-check", ("points = 41", "points = 2"), 1, "grid.points must be >= 3"),
+        ("denoiser-check", ("points = 41", "half_width_scales = 0"), 1,
+         "grid.half_width_scales must be > 0"),
+        ("deblur", ("height = 8", "height = 2"), 1, "section [operator]: kernel shape (3, 3)"),
+        ("deblur", ("lambda = auto", "lambda = -1"), 1, "solver.lambda must be > 0 or 'auto'"),
+        ("deblur", ("measurement_sigma2 = 0.04", "measurement_sigma2 = 0"), 1,
+         "operator.measurement_sigma2 must be > 0"),
+        # gmix2 at scale 1e-4 and sigma2 = 1: the envelope maximizer lies
+        # near 1e9, far past the search window.
+        ("regularizer-recovery", ("scales = 0.5, 0.5", "scales = 0.0001, 0.0001"), 2,
+         "numerical failure: envelope objective"),
+    ],
+    ids=["missing-key", "bad-prior", "grid-points", "grid-half-width", "kernel-too-large",
+         "lambda", "measurement-sigma2", "numerical-failure"],
+)
+def test_config_value_errors(tmp_path, capsys, command, edit, code, message):
+    if command == "deblur":
+        text = deblur_config(tmp_path).read_text()
+    elif command == "regularizer-recovery":
+        text = GMIX2_CFG
+    else:
+        text = dedent(DENOISER_CFG)
+    assert edit[0] in text
+    path = tmp_path / "c.ini"
+    path.write_text(text.replace(edit[0], edit[1]), encoding="utf-8")
+    rc = cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == code
+    assert message in capsys.readouterr().err
 
 
 def test_missing_output_prefix(tmp_path, capsys):

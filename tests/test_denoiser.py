@@ -1,10 +1,14 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
-from mmseprox import Denoiser, Marginal, MixturePrior, NoiseModel, denoiser
+from mmseprox import Denoiser, Marginal, MixturePrior, NoiseModel, Regularizer, denoiser
 
 from conftest import make_marginal, make_prior
 from test_marginal import ORACLE, ORACLE_ZS
@@ -79,13 +83,12 @@ def test_inversion_round_trip(marginal_case):
     den = Denoiser(marg)
     zs = np.linspace(-8, 8, 33)
     xs = den.scalar_apply(zs)
-    ys, res, ok = den.scalar_invert(xs)
-    assert ok.all()
+    ys, res = den.scalar_invert(xs)
     assert res.max() <= 1e-10
     np.testing.assert_allclose(ys, zs, atol=1e-7)
-    y, r, one_ok = den.scalar_invert(xs[3])
-    assert y.shape == r.shape == one_ok.shape == ()
-    assert one_ok and r <= 1e-10
+    y, r = den.scalar_invert(xs[3])
+    assert y.shape == r.shape == ()
+    assert r <= 1e-10
     assert y == pytest.approx(zs[3], abs=1e-7)
 
 
@@ -96,29 +99,24 @@ def test_batch_inversion_solves_each_point_as_if_alone(monkeypatch):
     marg = make_marginal("gmix2", 1.0)
     den = Denoiser(marg)
     xs = np.linspace(-12.0, 12.0, 501)
-    passes, bracket_passes = [], []
-    scalar_f, scalar_apply = marg.scalar_f, den.scalar_apply
+    passes = []
+    scalar_f = marg.scalar_f
 
     def f_pass(zs):
         passes.append(zs)
         return scalar_f(zs)
 
-    def bracket_pass(zs):  # one f_Z pass of the bracket expansion
-        bracket_passes.append(zs)
-        return scalar_apply(zs)
-
     monkeypatch.setattr(marg, "scalar_f", f_pass)
-    monkeypatch.setattr(den, "scalar_apply", bracket_pass)
-    ys, res, ok = den.scalar_invert(xs)
-    batch_passes, expansion = len(passes), len(bracket_passes)
-    assert ok.all() and res.max() <= 1e-10
+    ys, res = den.scalar_invert(xs)
+    batch_passes = len(passes)
+    assert res.max() <= 1e-10
     single_passes = []
     for i, x in enumerate(xs):
         passes.clear()
-        y, r, _ = den.scalar_invert(np.array([x]))
+        y, r = den.scalar_invert(np.array([x]))
         single_passes.append(len(passes))
         assert y[0] == ys[i] and r[0] == res[i], (float(x), float(y[0]), float(ys[i]))
-    assert batch_passes <= max(single_passes) + expansion
+    assert batch_passes <= max(single_passes)
 
 
 def test_two_point_denoiser_is_tanh(two_point_denoiser):
@@ -131,10 +129,13 @@ def test_two_point_denoiser_is_tanh(two_point_denoiser):
 def test_two_point_image_is_bounded(two_point_denoiser):
     den = two_point_denoiser
     inside = den.scalar_invert(np.array([0.5]))
-    assert inside[2].all()
+    assert inside[1][0] <= denoiser.INVERT_TOL
     assert inside[0][0] == pytest.approx(np.arctanh(0.5), abs=1e-8)
-    ys, res, ok = den.scalar_invert(np.array([1.5, -1.01, -1.5]))
+    xs = np.array([1.5, -1.01, -1.5])
+    ys, res = den.scalar_invert(xs)
+    ok = res <= denoiser.INVERT_TOL
     assert not ok.any()  # outside the image (-1, 1): no preimage exists
+    assert np.all(res >= np.abs(xs) - 1.0)
 
 
 def test_far_targets_of_an_unbounded_image_are_bracketed():
@@ -142,44 +143,39 @@ def test_far_targets_of_an_unbounded_image_are_bracketed():
     # many noise standard deviations (here 0.2) away from 0 it lies.
     den = Denoiser(Marginal(MixturePrior.gaussian(0.0, 1.0), NoiseModel(0.04)))
     xs = np.array([1e7, -1e9])
-    ys, res, ok = den.scalar_invert(xs)
-    assert ok.all()
+    ys, res = den.scalar_invert(xs)
     assert np.all(res <= 1e-10 * np.abs(xs))
     np.testing.assert_allclose(ys, 1.04 * xs, rtol=1e-12)
     # Alone, the far target meets the absolute residual of the in-image test.
-    _, r, one_ok = den.scalar_invert(1e7)
-    assert one_ok and r <= denoiser.INVERT_TOL
+    _, r = den.scalar_invert(1e7)
+    assert r <= denoiser.INVERT_TOL
 
 
-def test_bracket_ends_are_evaluated_once(monkeypatch):
-    # The start bracket x -+ 10 sigma already holds the preimage (D(y) =
-    # y / 1.25), so inversion evaluates each bracket end once and every
-    # later f_Z pass is a Newton step.  The bracket ends go through the
-    # score-only pass and Newton through the full one; both are counted.
-    marg = make_marginal("gauss1", 0.25)
+def test_every_inversion_pass_is_a_newton_pass(monkeypatch):
+    # The bracket comes from the prior, not from evaluating D, so inversion
+    # never calls the score-only pass: its first full f_Z pass is at x
+    # clipped into the bracket, and every pass is a Newton step.
+    marg = make_marginal("gmix2", 1.0)
     den = Denoiser(marg)
-    seen = []
+    seen = {"scalar_f": [], "scalar_score": []}
 
     def counting(name):
         evaluate = getattr(marg, name)
 
         def wrapped(zs):
-            seen.append(np.array(zs, dtype=float))
+            seen[name].append(np.array(zs, dtype=float))
             return evaluate(zs)
 
         return wrapped
 
-    for name in ("scalar_f", "scalar_score"):
+    for name in seen:
         monkeypatch.setattr(marg, name, counting(name))
-    x = 0.3
-    ys, res, ok = den.scalar_invert(np.array([x]))
-    assert ok.all() and res[0] <= 1e-10
-    assert ys[0] == pytest.approx(1.25 * x, rel=1e-12)
-    sigma = np.sqrt(marg.sigma2)
-    ends = [x - 10.0 * sigma, x + 10.0 * sigma]
-    assert [float(z[0]) for z in seen[:2]] == ends
-    newton = seen[2:]
-    assert newton and not any(float(z[0]) in ends for z in newton)
+    xs = np.array([-30.0, -2.0, 0.3, 1.7, 4.0])
+    lo, hi = marg.preimage_bracket(xs)
+    _, res = den.scalar_invert(xs)
+    assert res.max() <= denoiser.INVERT_TOL
+    assert seen["scalar_score"] == []
+    assert np.array_equal(seen["scalar_f"][0], np.clip(xs, lo, hi))
 
 
 def test_separable_apply_matches_scalar():
@@ -239,3 +235,121 @@ def test_scalar_apply_allocation_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * zs.nbytes, peak / zs.nbytes
+
+
+# -- inversion on the prior's bracket -------------------------------------------
+
+L, G = "laplace", "gaussian"
+
+
+def mixture_denoiser(kinds, weights, locations, scales, sigma2) -> Denoiser:
+    prior = MixturePrior.from_arrays(kinds, weights, locations, scales)
+    return Denoiser(Marginal(prior, NoiseModel(sigma2)))
+
+
+@pytest.mark.parametrize(
+    "den, xs",
+    [
+        # Three Laplace components: undamped Newton steps oscillate inside
+        # the bracket and stop at a residual of about 15.
+        (mixture_denoiser([L, L, L], [0.927126, 0.038575, 0.034299],
+                          [4.244512, 0.465662, -1.649057],
+                          [1.095109, 0.646817, 23.389266], 88.646817), [-14.066046]),
+        # A wide Laplace beside a narrow Gaussian.
+        (mixture_denoiser([L, G], [0.083284, 0.916716], [-0.206738, -0.225829],
+                          [32.554076, 0.27349], 77.700336), [15.42338]),
+        # gmix2 at scale 1e-4: the preimages lie at 5e7 .. 4.8e9, about
+        # x * sigma2 / s^2 from the origin.
+        (mixture_denoiser([G, G], [0.5, 0.5], [-2.0, 2.0], [1e-4, 1e-4], 1.0),
+         [2.5, 5.0, 50.0]),
+    ],
+    ids=["three-laplace", "laplace-gaussian", "gmix2-narrow"],
+)
+def test_hard_targets_are_solved_and_in_the_image(den, xs):
+    xs = np.array(xs)
+    _, res = den.scalar_invert(xs)
+    assert res.max() <= denoiser.INVERT_TOL, res
+    values, in_image = Regularizer(den).phi_explicit_profile(xs)
+    assert in_image.all() and np.isfinite(values).all(), values
+
+
+def test_three_laplace_explicit_route_meets_the_envelope_route():
+    den = mixture_denoiser([L, L, L], [0.927126, 0.038575, 0.034299],
+                           [4.244512, 0.465662, -1.649057],
+                           [1.095109, 0.646817, 23.389266], 88.646817)
+    reg = Regularizer(den)
+    x = np.array([-14.066046])
+    explicit, _ = reg.phi_explicit_profile(x)
+    envelope, maximizer = reg.phi_envelope_profile(x)
+    assert explicit[0] == pytest.approx(envelope[0], rel=1e-8)
+    assert den.scalar_invert(x)[0][0] == pytest.approx(maximizer[0], rel=1e-6)
+
+
+def test_derivative_does_not_cancel_in_the_tails():
+    # D' = s^2/(s^2 + sigma2) for one Gaussian.  Far out the slope of f_Z is
+    # ~2.4e6, so a curvature that subtracts two squares of it cancels.
+    s2 = 0.0022**2
+    den = mixture_denoiser([G], [1.0], [0.35], [0.0022], 1.21)
+    np.testing.assert_allclose(den.scalar_derivative(np.array([2.9e6, -2.9e6])),
+                               s2 / (s2 + 1.21), rtol=1e-9, atol=0.0)
+    # Its preimage lies near -2.9e6: the residual stops at the eps*|y| floor
+    # of y - sigma2*f_Z'(y).
+    assert den.scalar_invert(-11.38)[1] <= 1e-8
+    gauss1 = Denoiser(make_marginal("gauss1", 0.04))
+    assert gauss1.scalar_derivative(1e6) == pytest.approx(1.0 / 1.04, rel=1e-14)
+
+
+@pytest.mark.parametrize("scale, sigma2", [(1.0, 0.04), (1e-3, 1.0)])
+def test_degenerate_bracket_still_solves(scale, sigma2):
+    # A single Gaussian collapses the bracket onto the preimage; the
+    # rounding allowance leaves Newton room to reach INVERT_TOL.
+    den = mixture_denoiser([G], [1.0], [0.0], [scale], sigma2)
+    _, res = den.scalar_invert(np.linspace(-1.0, 1.0, 2000))
+    assert res.max() <= denoiser.INVERT_TOL
+
+
+@pytest.mark.parametrize("ratio", [1e-6, 1e-4, 1e-2, 1.0])
+@pytest.mark.parametrize("sigma2", [0.04, 1.0, 77.0])
+def test_gaussian_bracket_holds_the_exact_preimage(ratio, sigma2):
+    # The Gaussian end divides by the prior's own s^2: var - sigma2 would
+    # lose ~eps * sigma2/s^2 relative, past the rounding allowance once s
+    # is far below sigma.  The exact preimage comes from rational arithmetic.
+    mu, scale = 0.35, ratio * math.sqrt(sigma2)
+    marg = Marginal(MixturePrior.gaussian(mu, scale), NoiseModel(sigma2))
+    xs = np.linspace(-50.0, 50.0, 41)
+    lo, hi = marg.preimage_bracket(xs)
+    s2, t2 = Fraction(scale) ** 2, Fraction(sigma2)
+    exact = np.array([float((Fraction(x) * (s2 + t2) - t2 * Fraction(mu)) / s2) for x in xs])
+    assert np.all(lo <= exact) and np.all(exact <= hi)
+
+
+_component = st.tuples(
+    st.sampled_from([G, L]),
+    st.floats(0.05, 1.0),  # unnormalized weight
+    st.floats(-10.0, 10.0),  # location
+    st.floats(-3.0, 1.0),  # log10 of scale / sigma
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    components=st.lists(_component, min_size=1, max_size=3),
+    log_sigma2=st.floats(-2.0, 2.0),
+    xs=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=20),
+)
+def test_bracket_holds_the_preimage(components, log_sigma2, xs):
+    sigma2 = 10.0**log_sigma2
+    sigma = np.sqrt(sigma2)
+    kinds, weights, locations, ratios = zip(*components)
+    weights = np.array(weights) / sum(weights)
+    scales = [10.0**r * sigma for r in ratios]
+    den = mixture_denoiser(kinds, weights, locations, scales, sigma2)
+    xs = np.array(xs)
+    lo, hi = den.marginal.preimage_bracket(xs)
+    assert np.all(den.scalar_apply(lo) <= xs) and np.all(xs <= den.scalar_apply(hi))
+    _, res = den.scalar_invert(xs)
+    narrowest = min(ratios)
+    if narrowest >= -1.0:
+        assert res.max() <= denoiser.INVERT_TOL
+    elif narrowest >= -2.0:
+        assert res.max() <= 1e-6
