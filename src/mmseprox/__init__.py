@@ -13,6 +13,7 @@ the proximal step; `cli` exposes config-driven experiments.
 from .denoiser import Denoiser, QuadratureError
 from .marginal import Marginal, NoiseModel
 from .moreau import (
+    EnvelopeNotUnimodalError,
     EnvelopeResult,
     EnvelopeUnboundedError,
     MultivaluedProxError,
@@ -50,6 +51,7 @@ __all__ = [
     "ComponentKind",
     "Denoiser",
     "DivergenceError",
+    "EnvelopeNotUnimodalError",
     "EnvelopeResult",
     "EnvelopeUnboundedError",
     "Fidelity",

@@ -22,12 +22,26 @@ tied one.
 
 The ``*_many`` variants vectorize one envelope evaluation per entry of
 ``xs``, one block of entries at a time, and refine only the best grid
-basin per entry.  For a unimodal objective that is the global optimum.
-Most uses in this package have a uniqueness argument (the stationarity
-condition is an injective denoiser evaluation, or the perturbed objective
-is convex); the inner lower envelope of ``cos 3y`` in the sandwich check is
-multimodal on purpose and relies on the dense grid putting the best grid
-point in the global basin.
+basin per entry.  By default they scan a dense grid, so that the best grid
+point lies in the global basin even when the objective has several: the
+inner lower envelope of ``cos 3y`` in the sandwich check is multimodal on
+purpose, and the envelope route of phi (``Regularizer.phi_envelope_profile``)
+searches densely too.
+
+With ``unimodal=True`` they scan only ``_UNIMODAL_GRID_POINTS`` points, for
+objectives with a proof of a single basin, and check it: every grid row
+must fall and then rise to within ``_TIE_TOL`` relative, or the search
+raises :class:`EnvelopeNotUnimodalError` rather than pick a basin.  The
+callers with a proof:
+
+* the lower envelope of a convex f (the quadratic and absolute inner
+  envelopes of the sandwich check): f(y) + (y - x)^2 / 2 is convex;
+* the upper envelope of M_1 f for any f (the sandwich's outer envelope):
+  M_1 f(y) - y^2 / 2 is an infimum of affine functions of y, so
+  M_1 f(y) - (y - x)^2 / 2 is concave;
+* the lower envelope of phi, which is 1-weakly convex, so phi(y) +
+  (y - z)^2 / 2 is convex (the nested prox of ``prox_consistency`` and
+  the explicit-phi envelope of ``moreau_identity``).
 """
 
 from __future__ import annotations
@@ -39,6 +53,7 @@ import numpy as np
 
 __all__ = [
     "EnvelopeResult",
+    "EnvelopeNotUnimodalError",
     "EnvelopeUnboundedError",
     "MultivaluedProxError",
     "lower_envelope",
@@ -62,10 +77,19 @@ _STATIONARITY_TOL = 1e-5
 # points are asked for (the nested envelopes of the sandwich check ask for
 # tens of thousands).
 _SCAN_ENTRIES = 2**20
+# The vectorized envelopes scan this many grid points per window by
+# default, and this many when the objective is proven unimodal.
+_DENSE_GRID_POINTS = 501
+_UNIMODAL_GRID_POINTS = 33
 
 
 class EnvelopeUnboundedError(ValueError):
     """The envelope objective keeps improving toward the search boundary."""
+
+
+class EnvelopeNotUnimodalError(ValueError):
+    """An objective taken as unimodal has no finite value or several basins
+    on its search grid."""
 
 
 class MultivaluedProxError(RuntimeError):
@@ -107,13 +131,46 @@ def _objective(eval_fn, sign: float, gamma: float, ys: np.ndarray, xs) -> np.nda
     return q
 
 
-def _scan(eval_fn, sign, gamma, xs, grid_points):
+def _check_finite(vals: np.ndarray, xs: np.ndarray) -> None:
+    """Raise unless every row of grid values has a finite entry."""
+    if not np.isfinite(vals).any(axis=1).all():
+        raise ValueError("objective is non-finite on the entire search grid")
+
+
+def _check_unimodal(vals: np.ndarray, xs: np.ndarray) -> None:
+    """Raise :class:`EnvelopeNotUnimodalError` unless every row of grid
+    values has a finite entry and falls up to its smallest entry, then
+    rises, each step to within ``_TIE_TOL`` of the row's magnitude.
+
+    +inf entries pass where they continue a fall or a rise, so an objective
+    that is +inf outside an interval is unimodal.  Only finite tolerances
+    are added, so no inf - inf arises.
+    """
+    finite = np.isfinite(vals)
+    magnitude = np.abs(np.where(finite, vals, 0.0)).max(axis=1, keepdims=True)
+    tol = _TIE_TOL * np.maximum(1.0, magnitude)
+    prev, nxt = vals[:, :-1], vals[:, 1:]
+    before_best = np.arange(1, vals.shape[1]) <= np.argmin(vals, axis=1)[:, None]
+    steps_ok = np.where(before_best, nxt <= prev + tol, nxt >= prev - tol)
+    for fault, bad in (
+        ("has no finite value", ~finite.any(axis=1)),
+        ("has more than one basin", ~steps_ok.all(axis=1)),
+    ):
+        if bad.any():
+            raise EnvelopeNotUnimodalError(
+                f"envelope objective at x={float(xs[np.argmax(bad)])!r} {fault} on "
+                "its search grid; it is not unimodal there"
+            )
+
+
+def _scan(eval_fn, sign, gamma, xs, grid_points, check=_check_finite):
     """Objective values on a uniform grid around each ``x`` (one row each).
 
     A row whose best grid point sits on a window edge (the optimum may lie
     outside the window) is scanned again on a window four times as wide;
     the other rows keep their grid, so a row's grid does not depend on the
     rest of ``xs``.  If widening never settles, the objective is unbounded.
+    ``check(vals, xs)`` vets each scanned window and raises on a fault.
     Returns ``(ys, vals)`` of shape ``(len(xs), grid_points)``.
     """
     radius = 20.0 * max(1.0, math.sqrt(gamma))
@@ -127,8 +184,7 @@ def _scan(eval_fn, sign, gamma, xs, grid_points):
         grid += lo[:, None]
         grid[:, -1] = hi
         objective = _objective(eval_fn, sign, gamma, grid, x[:, None])
-        if not np.isfinite(objective).any(axis=1).all():
-            raise ValueError("objective is non-finite on the entire search grid")
+        check(objective, x)
         if widening == 0:
             ys, vals = grid, objective
         else:
@@ -266,14 +322,22 @@ def envelope_gradient(f, gamma: float, x: float, **kwargs) -> float:
 # -- vectorized single-basin variants -----------------------------------------
 
 
-def _envelope_many(eval_fn, gamma, xs, sign, grid_points):
+def _envelope_many(eval_fn, gamma, xs, sign, grid_points, unimodal):
+    if unimodal:
+        if grid_points is not None:
+            raise ValueError("the unimodal search scans its own grid; pass no grid_points")
+        grid_points, check = _UNIMODAL_GRID_POINTS, _check_unimodal
+    else:
+        if grid_points is None:
+            grid_points = _DENSE_GRID_POINTS
+        check = _check_finite
     shape = np.shape(xs)
     flat = _points(gamma, xs, grid_points)
     y, v = np.empty_like(flat), np.empty_like(flat)
     rows = max(1, _SCAN_ENTRIES // grid_points)
     for start in range(0, flat.size, rows):
         block = slice(start, start + rows)
-        ys, vals = _scan(eval_fn, sign, gamma, flat[block], grid_points)
+        ys, vals = _scan(eval_fn, sign, gamma, flat[block], grid_points, check)
         a, b = _brackets(ys, np.arange(ys.shape[0]), np.argmin(vals, axis=1))
         del ys, vals  # the golden section needs only the brackets
         y[block], v[block] = _golden(eval_fn, sign, gamma, a, b, flat[block])
@@ -281,11 +345,21 @@ def _envelope_many(eval_fn, gamma, xs, sign, grid_points):
     return values.reshape(shape), y.reshape(shape)
 
 
-def lower_envelope_many(eval_fn, gamma: float, xs, *, grid_points: int = 501):
-    """Vectorized lower envelope, best grid basin per point; returns (values, argopts)."""
-    return _envelope_many(eval_fn, gamma, xs, 1.0, grid_points)
+def lower_envelope_many(eval_fn, gamma: float, xs, *, grid_points: int | None = None,
+                        unimodal: bool = False):
+    """Vectorized lower envelope, best grid basin per point; returns (values, argopts).
+
+    ``unimodal=True`` asserts that the objective has one basin: the search
+    scans a short grid, checks it, and raises
+    :class:`EnvelopeNotUnimodalError` where the check fails.
+    """
+    return _envelope_many(eval_fn, gamma, xs, 1.0, grid_points, unimodal)
 
 
-def upper_envelope_many(eval_fn, gamma: float, xs, *, grid_points: int = 501):
-    """Vectorized upper envelope, best grid basin per point; returns (values, argopts)."""
-    return _envelope_many(eval_fn, gamma, xs, -1.0, grid_points)
+def upper_envelope_many(eval_fn, gamma: float, xs, *, grid_points: int | None = None,
+                        unimodal: bool = False):
+    """Vectorized upper envelope, best grid basin per point; returns (values, argopts).
+
+    ``unimodal`` as in :func:`lower_envelope_many`.
+    """
+    return _envelope_many(eval_fn, gamma, xs, -1.0, grid_points, unimodal)

@@ -61,31 +61,37 @@ def marginal_case(request):
 
 
 class TwoPointMarginal:
-    """Noisy marginal of the two-point prior (mass 1/2 at -1 and +1, unit
-    noise), in closed form:
+    """Noisy marginal of the two-point prior (mass 1/2 at -a and +a, with
+    a = ``half_gap``; unit noise), in closed form:
 
-        f_Z(z) = (z^2 + 1)/2 + log(2 pi)/2 - log cosh(z)
+        f_Z(z) = (z^2 + a^2)/2 + log(2 pi)/2 - log cosh(a z)
 
-    Its denoiser is tanh, so the denoiser image is the open interval
-    (-1, 1) -- the only fixture here with a bounded image.
+    Its denoiser is a tanh(a z), so the denoiser image is the open interval
+    (-a, a) -- the only fixture here with a bounded image.  Here a = 1; a
+    subclass may squeeze the image by setting a smaller ``half_gap``.
     """
 
     sigma2 = 1.0
+    half_gap = 1.0
 
-    @staticmethod
-    def scalar_f(zs):
+    @classmethod
+    def scalar_f(cls, zs):
+        a = cls.half_gap
         zs = np.asarray(zs, dtype=float)
-        t = np.tanh(zs)
-        # log cosh without overflow: |z| + log1p(exp(-2|z|)) - log 2
-        logcosh = np.abs(zs) + np.log1p(np.exp(-2.0 * np.abs(zs))) - np.log(2.0)
-        f = 0.5 * (zs**2 + 1.0) + 0.5 * np.log(2.0 * np.pi) - logcosh
-        return f, zs - t, t**2
+        az = a * zs
+        t = np.tanh(az)
+        # log cosh without overflow: |u| + log1p(exp(-2|u|)) - log 2
+        logcosh = np.abs(az) + np.log1p(np.exp(-2.0 * np.abs(az))) - np.log(2.0)
+        f = 0.5 * (zs**2 + a * a) + 0.5 * np.log(2.0 * np.pi) - logcosh
+        return f, zs - a * t, (1.0 - a * a) + a * a * t**2
 
-    @staticmethod
-    def preimage_bracket(xs):
-        # artanh of x clipped just inside the image, widened by 1 each way;
-        # a target off the image keeps a residual of at least |x| - 1.
-        y = np.arctanh(np.clip(np.asarray(xs, dtype=float), -1.0 + 1e-12, 1.0 - 1e-12))
+    @classmethod
+    def preimage_bracket(cls, xs):
+        # artanh(x/a)/a with x clipped just inside the image, widened by 1
+        # each way; a target off the image keeps a residual of at least |x| - a.
+        a = cls.half_gap
+        u = np.clip(np.asarray(xs, dtype=float) / a, -1.0 + 1e-12, 1.0 - 1e-12)
+        y = np.arctanh(u) / a
         return y - 1.0, y + 1.0
 
     @classmethod

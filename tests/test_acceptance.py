@@ -7,8 +7,12 @@ corresponding FAIL, with the offending numbers in the message.
 Criteria with wall-clock budgets enforce them here.
 """
 
+import contextlib
+import io
 import math
+import re
 import time
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +43,50 @@ scales = 0.5, 0.5
 [noise]
 sigma2 = 1.0
 """
+
+
+def _numpy_simd() -> str:
+    """This host's numpy SIMD extensions, as ``np.show_runtime()`` prints them:
+    the byte-exact goldens depend on them."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        np.show_runtime()
+    match = re.search(r"'simd_extensions': (\{.*?\})\}", " ".join(printed.getvalue().split()))
+    return match.group(1) if match else "unknown"
+
+
+def _report_mismatch(new: bytes, golden: bytes) -> str:
+    """Each report line that differs from the golden, as key: golden -> new."""
+
+    def entries(report: bytes) -> dict[str, str]:
+        return dict(line.partition(" = ")[::2] for line in report.decode().splitlines())
+
+    old, cur = entries(golden), entries(new)
+    moved = [
+        f"  {key}: golden {old.get(key)} -> new {cur.get(key)}"
+        for key in sorted(old.keys() | cur.keys())
+        if old.get(key) != cur.get(key)
+    ]
+    return "\n".join(
+        ["report deviates from the golden run:", *moved, f"numpy SIMD on this host: {_numpy_simd()}"]
+    )
+
+
+def _trace_mismatch(new: bytes, golden: bytes) -> str:
+    """How many trace lines differ from the golden, and the first differing
+    line and column with both values (an absent line or cell reads '')."""
+    lines = list(zip_longest(golden.decode().splitlines(), new.decode().splitlines(), fillvalue=""))
+    differing = [i for i, (old, cur) in enumerate(lines) if old != cur]
+    first = differing[0]
+    cells = list(zip_longest(*(line.split(",") for line in lines[first]), fillvalue=""))
+    column = next(j for j, (old, cur) in enumerate(cells) if old != cur)
+    header = lines[0][0].split(",")
+    name = header[column] if column < len(header) else f"#{column}"
+    return (
+        f"trace deviates from the golden run: {len(differing)} of {len(lines)} lines differ; "
+        f"first at line {first + 1}, column {name}: golden {cells[column][0]!r} -> "
+        f"new {cells[column][1]!r}\nnumpy SIMD on this host: {_numpy_simd()}"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -243,7 +291,8 @@ def test_criterion_7_deblur_convergence(deblur_run, tmp_path):
     out = tmp_path / "trace.csv"
     pnp.write_trace_csv(trace, out, truth=truth)
     assert GOLDEN_TRACE.exists(), "golden trace missing; run: python tests/data/regenerate.py"
-    assert out.read_bytes() == GOLDEN_TRACE.read_bytes(), "trace deviates from the golden run"
+    new, golden = out.read_bytes(), GOLDEN_TRACE.read_bytes()
+    assert new == golden, _trace_mismatch(new, golden)
     print(
         f"CRITERION 7 (32x32 deblurring convergence): PASS "
         f"(psnr gain {gain:.2f} dB, worst slack {min(slacks):.2e}, "
@@ -284,7 +333,8 @@ def test_criterion_9_certificate_determinism(tmp_path):
     assert GOLDEN_CERTIFICATES.exists(), (
         "golden certificates missing; run: python tests/data/regenerate.py"
     )
-    assert report_a == GOLDEN_CERTIFICATES.read_bytes(), "report deviates from the golden run"
+    golden = GOLDEN_CERTIFICATES.read_bytes()
+    assert report_a == golden, _report_mismatch(report_a, golden)
     assert report_a.decode().rstrip().endswith("overall = PASS")
     print(
         "CRITERION 9 (certificate-suite determinism): PASS "

@@ -11,7 +11,7 @@ from textwrap import dedent
 import numpy as np
 import pytest
 
-from mmseprox import cli
+from mmseprox import EnvelopeNotUnimodalError, Marginal, cli, moreau
 from mmseprox.cli import ConfigError, parse_config
 from mmseprox.operators import gaussian_blur_kernel
 from mmseprox.textio import fmt17
@@ -589,3 +589,50 @@ def test_certificate_suite_rejects_malformed_unread_key(tmp_path, capsys):
     assert rc == 1
     assert "line 9: bad value for solver.init" in capsys.readouterr().err
     assert not (tmp_path / "o_certificates.txt").exists()
+
+
+GMIX2_CERT_CFG = """\
+    [prior]
+    kinds = gaussian, gaussian
+    weights = 0.5, 0.5
+    locations = -2, 2
+    scales = 0.5, 0.5
+    [noise]
+    sigma2 = 1.0
+    """
+
+
+class _ValueMutant(Marginal):
+    """f_Z + 0.4 cos 3z in value, with the true score: D stays right, but
+    explicit phi is no longer 1-weakly convex."""
+
+    def scalar_value(self, zs):
+        return super().scalar_value(zs) + 0.4 * np.cos(3.0 * np.asarray(zs))
+
+
+def test_value_mutant_fails_its_certificates(tmp_path, capsys, monkeypatch):
+    # the unimodal search refuses the mutant's explicit phi, which fails
+    # moreau_identity without aborting the suite; the nested prox misses D
+    monkeypatch.setattr(cli, "Marginal", _ValueMutant)
+    path = write_config(tmp_path / "c.ini", GMIX2_CERT_CFG)
+    rc = cli.main(["certificate-suite", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    report = (tmp_path / "o_certificates.txt").read_text().splitlines()
+    assert "moreau_identity = FAIL" in report
+    assert not any(line.startswith("moreau_identity.") for line in report)
+    assert "prox_consistency = FAIL" in report
+    err = float(next(l for l in report if l.startswith("prox_consistency.max_abs_err")).split(" = ")[1])
+    assert err > 0.1
+    assert report[-1] == "overall = FAIL"
+    assert "moreau_identity: numerical failure: " in capsys.readouterr().err
+
+
+def test_refused_search_outside_the_suite_exits_2(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise EnvelopeNotUnimodalError("envelope objective at x=0.0 has more than one basin")
+
+    monkeypatch.setattr(moreau, "upper_envelope_many", refuse)
+    path = write_config(tmp_path / "c.ini", GMIX2_CERT_CFG + "    [grid]\n    points = 5\n")
+    rc = cli.main(["regularizer-recovery", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "numerical failure: envelope objective at x=0.0" in capsys.readouterr().err

@@ -1,18 +1,23 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import TwoPointMarginal, make_marginal
 from mmseprox import moreau
 from mmseprox import (
+    Denoiser,
+    EnvelopeNotUnimodalError,
     EnvelopeUnboundedError,
     MultivaluedProxError,
     envelope_gradient,
     lower_envelope,
     lower_envelope_many,
     prox,
+    Regularizer,
     upper_envelope,
     upper_envelope_many,
 )
@@ -178,8 +183,10 @@ def test_only_rows_at_a_window_edge_widen(monkeypatch):
 
 
 def test_vectorized_scan_memory_is_bounded():
-    # 61 x 501 points, what the inner envelopes of the sandwich check get at
-    # once: one unblocked scan would hold three 122 MB arrays.
+    # 61 x 501 points, what a dense inner envelope gets at once when a dense
+    # outer envelope of 61 points scans it (the sandwich check's outer
+    # search is now unimodal and asks 61 x 33): one unblocked scan would
+    # hold three 122 MB arrays.
     xs = np.linspace(-3.0, 3.0, 30561)
     tracemalloc.start()
     try:
@@ -287,3 +294,98 @@ def test_quadratic_upper_envelope_closed_form(t, gamma, x):
     for got, argopt in ((r.value, r.argopt), (vals[0], args[0])):
         assert got == pytest.approx(value, abs=1e-9)
         assert argopt == pytest.approx(argmax, abs=1e-6)
+
+
+# -- the unimodal search -------------------------------------------------------
+
+
+def _nested_prox_objective():
+    """The suite's nested-prox objective: envelope-route phi of gmix2 at sigma2 = 1."""
+    reg = Regularizer(Denoiser(make_marginal("gmix2", 1.0)))
+    return lambda ys: reg.phi_envelope_profile(ys)[0], reg.default_grid(15, 3.0)
+
+
+@pytest.mark.parametrize("case", ["quadratic", "absolute", "quarter_upper", "nested_prox"])
+def test_unimodal_search_agrees_with_dense(case):
+    xs = np.linspace(-4.0, 4.0, 33)
+    many, f = lower_envelope_many, QUAD
+    if case == "absolute":
+        f = ABS
+    elif case == "quarter_upper":
+        many, f = upper_envelope_many, lambda y: 0.25 * np.asarray(y) ** 2
+    elif case == "nested_prox":
+        f, xs = _nested_prox_objective()
+    dense_vals, dense_args = many(f, 1.0, xs)
+    vals, args = many(f, 1.0, xs, unimodal=True)
+    rel = np.abs(vals - dense_vals) / np.maximum(1.0, np.abs(dense_vals))
+    assert rel.max() <= 1e-12, f"values differ by {rel.max():.2e} relative"
+    assert np.abs(args - dense_args).max() <= 1e-7
+
+
+def test_unimodal_blocked_search_matches_each_point_alone(monkeypatch):
+    xs = np.linspace(-6.0, 6.0, 97)
+    f = lambda y: np.log(np.cosh(np.asarray(y))) + 0.1 * np.asarray(y) ** 2
+    whole = lower_envelope_many(f, 1.0, xs, unimodal=True)
+    alone = np.array([lower_envelope_many(f, 1.0, xs[i : i + 1], unimodal=True) for i in range(xs.size)])
+    monkeypatch.setattr(moreau, "_SCAN_ENTRIES", 7 * moreau._UNIMODAL_GRID_POINTS)  # 14 blocks
+    blocked = lower_envelope_many(f, 1.0, xs, unimodal=True)
+    for result in (whole, blocked):
+        assert np.array_equal(result[0], alone[:, 0, 0]) and np.array_equal(result[1], alone[:, 1, 0])
+
+
+def test_unimodal_window_expansion():
+    f = lambda y: 0.5 * (np.asarray(y) - 60.0) ** 2
+    vals, args = lower_envelope_many(f, 1.0, np.array([0.0]), unimodal=True)
+    assert args[0] == pytest.approx(30.0, abs=1e-6)
+    assert vals[0] == pytest.approx(900.0, abs=1e-6)
+
+
+def test_unimodal_search_evaluation_budget():
+    # the short grid plus one evaluation per golden step, about 67 steps
+    f = _Counting(lambda y: 0.25 * np.asarray(y) ** 2)
+    xs = np.linspace(-3.0, 3.0, 13)
+    upper_envelope_many(f, 1.0, xs, unimodal=True)
+    assert f.points / xs.size <= moreau._UNIMODAL_GRID_POINTS + 70
+
+
+def test_unimodal_search_refuses_several_basins():
+    wavy = lambda y: np.cos(3.0 * np.asarray(y))
+    with pytest.raises(EnvelopeNotUnimodalError, match="more than one basin"):
+        lower_envelope_many(wavy, 1.0, np.linspace(-3.0, 3.0, 7), unimodal=True)
+
+
+def test_unimodal_search_sets_its_own_grid():
+    with pytest.raises(ValueError, match="its own grid"):
+        lower_envelope_many(QUAD, 1.0, np.array([0.0]), grid_points=301, unimodal=True)
+
+
+class _SqueezedTwoPoint(TwoPointMarginal):
+    """The two-point marginal with its denoiser image squeezed to (-0.05, 0.05)."""
+
+    half_gap = 0.05
+
+
+def test_unimodal_search_refuses_a_grid_with_no_finite_value():
+    # explicit phi is +inf off an image narrower than the short grid's
+    # spacing (1.25), so no grid point around x = 0.6 is finite; the dense
+    # grid (spacing 0.08) still lands in the image.
+    reg = Regularizer(Denoiser(_SqueezedTwoPoint()))
+    phi = lambda ys: reg.phi_explicit_profile(ys)[0]
+    xs = np.array([0.6])
+    vals, args = lower_envelope_many(phi, 1.0, xs)
+    assert np.isfinite(vals[0]) and abs(args[0]) < 0.05
+    with pytest.raises(EnvelopeNotUnimodalError, match="no finite value") as refused:
+        lower_envelope_many(phi, 1.0, xs, unimodal=True)
+    assert refused.type is EnvelopeNotUnimodalError
+
+
+def test_unimodal_check_takes_infinite_tails_without_warnings():
+    # the indicator of [-3, 3] is convex: +inf tails continue the fall and
+    # the rise, and no inf - inf is formed while checking them
+    box = lambda y: np.where(np.abs(np.asarray(y)) <= 3.0, 0.0, np.inf)
+    xs = np.array([-7.0, 0.4, 5.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, args = lower_envelope_many(box, 1.0, xs, unimodal=True)
+    np.testing.assert_allclose(args, [-3.0, 0.4, 3.0], atol=1e-7)
+    np.testing.assert_allclose(vals, [8.0, 0.0, 2.0], atol=1e-9)
