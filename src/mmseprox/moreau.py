@@ -21,12 +21,14 @@ a multi-valued proximal map; the reported optimizer is always the smallest
 tied one.
 
 The ``*_many`` variants vectorize one envelope evaluation per entry of
-``xs``, one block of entries at a time, and refine only the best grid
-basin per entry.  By default they scan a dense grid, so that the best grid
-point lies in the global basin even when the objective has several: the
-inner lower envelope of ``cos 3y`` in the sandwich check is multimodal on
-purpose, and the envelope route of phi (``Regularizer.phi_envelope_profile``)
-searches densely too.
+``xs`` and refine only the best grid basin per entry.  They scan in blocks
+of at most ``_SCAN_ENTRIES`` grid entries, sized so that a block's arrays
+stay in a core's L2 cache, keep only each entry's grid bracket, and then
+refine every bracket in one golden-section pass.  By default they scan a
+dense grid, so that the best grid point lies in the global basin even when
+the objective has several: the inner lower envelope of ``cos 3y`` in the
+sandwich check is multimodal on purpose, and the envelope route of phi
+(``Regularizer.phi_envelope_profile``) searches densely too.
 
 With ``unimodal=True`` they scan only ``_UNIMODAL_GRID_POINTS`` points, for
 objectives with a proof of a single basin, and check it: every grid row
@@ -73,10 +75,12 @@ _GOLDEN_TOL = 1e-13
 _TIE_TOL = 1e-9
 _STATIONARITY_TOL = 1e-5
 # The vectorized envelopes scan at most this many grid entries at once, so
-# each (rows, grid_points) float array of a scan is about 8 MB however many
-# points are asked for (the nested envelopes of the sandwich check ask for
-# tens of thousands).
-_SCAN_ENTRIES = 2**20
+# each (rows, grid_points) float array of a scan is 256 KB however many
+# points are asked for: the grid, the f rows and the objective of one block
+# then fit together in a 2 MB L2 cache, so the scan does not wait on main
+# memory.  The block size sets no result: every row is scanned and refined
+# as if alone.
+_SCAN_ENTRIES = 2**15
 # The vectorized envelopes scan this many grid points per window by
 # default, and this many when the objective is proven unimodal.
 _DENSE_GRID_POINTS = 501
@@ -333,14 +337,13 @@ def _envelope_many(eval_fn, gamma, xs, sign, grid_points, unimodal):
         check = _check_finite
     shape = np.shape(xs)
     flat = _points(gamma, xs, grid_points)
-    y, v = np.empty_like(flat), np.empty_like(flat)
+    a, b = np.empty_like(flat), np.empty_like(flat)
     rows = max(1, _SCAN_ENTRIES // grid_points)
     for start in range(0, flat.size, rows):
         block = slice(start, start + rows)
         ys, vals = _scan(eval_fn, sign, gamma, flat[block], grid_points, check)
-        a, b = _brackets(ys, np.arange(ys.shape[0]), np.argmin(vals, axis=1))
-        del ys, vals  # the golden section needs only the brackets
-        y[block], v[block] = _golden(eval_fn, sign, gamma, a, b, flat[block])
+        a[block], b[block] = _brackets(ys, np.arange(ys.shape[0]), np.argmin(vals, axis=1))
+    y, v = _golden(eval_fn, sign, gamma, a, b, flat)
     values = v if sign > 0 else -v
     return values.reshape(shape), y.reshape(shape)
 

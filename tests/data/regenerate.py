@@ -6,6 +6,8 @@ Run from the repository root:
 
 Both files are produced by the exact code paths the acceptance tests
 drive, so a passing regeneration is byte-for-byte what the tests expect.
+Beside them it writes ``golden_host.txt``, the fingerprint of the host
+that made them, which the byte tests print when a golden does not match.
 """
 
 import sys
@@ -17,7 +19,14 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 sys.path.insert(0, str(HERE.parents[1] / "src"))
 
-from test_acceptance import CERT_CONFIG, GOLDEN_CERTIFICATES, GOLDEN_TRACE, run_deblur_experiment
+from test_acceptance import (
+    CERT_CONFIG,
+    GOLDEN_CERTIFICATES,
+    GOLDEN_HOST,
+    GOLDEN_TRACE,
+    host_fingerprint,
+    run_deblur_experiment,
+)
 
 from mmseprox import cli, pnp
 
@@ -37,6 +46,14 @@ def main() -> None:
             raise SystemExit(f"certificate suite failed with exit code {rc}")
         GOLDEN_CERTIFICATES.write_bytes((Path(tmp) / "golden_certificates.txt").read_bytes())
     print(f"wrote {GOLDEN_CERTIFICATES}")
+
+    GOLDEN_HOST.write_text(
+        "# The host that wrote the golden files beside this one.  The OpenBLAS\n"
+        "# core is left out: reading it needs threadpoolctl, which this package\n"
+        "# does not depend on.\n" + host_fingerprint(),
+        encoding="utf-8",
+    )
+    print(f"wrote {GOLDEN_HOST}")
 
 
 if __name__ == "__main__":

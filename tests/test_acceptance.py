@@ -7,6 +7,7 @@ corresponding FAIL, with the offending numbers in the message.
 Criteria with wall-clock budgets enforce them here.
 """
 
+import ast
 import contextlib
 import io
 import math
@@ -28,6 +29,7 @@ from mmseprox.regularizer import Regularizer, certify_weak_convexity
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN_TRACE = DATA / "golden_deblur_trace.csv"
 GOLDEN_CERTIFICATES = DATA / "golden_certificates.txt"
+GOLDEN_HOST = DATA / "golden_host.txt"
 
 CERT_CONFIG = """\
 [experiment]
@@ -45,14 +47,41 @@ sigma2 = 1.0
 """
 
 
-def _numpy_simd() -> str:
-    """This host's numpy SIMD extensions, as ``np.show_runtime()`` prints them:
-    the byte-exact goldens depend on them."""
+def host_fingerprint() -> str:
+    """This host's numpy version and SIMD extensions (the ``baseline`` and
+    ``found`` lists ``np.show_runtime()`` prints), one ``key = value`` line
+    each: numpy's SIMD ``exp`` and ``log`` set the last bits of the goldens."""
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
         np.show_runtime()
-    match = re.search(r"'simd_extensions': (\{.*?\})\}", " ".join(printed.getvalue().split()))
-    return match.group(1) if match else "unknown"
+    text = " ".join(printed.getvalue().split())
+
+    def listed(key: str) -> str:
+        match = re.search(rf"'{key}': (\[.*?\])", text)
+        return " ".join(ast.literal_eval(match.group(1))) if match else "unknown"
+
+    return (
+        f"numpy = {np.__version__}\n"
+        f"simd_baseline = {listed('baseline')}\n"
+        f"simd_found = {listed('found')}\n"
+    )
+
+
+def _hosts() -> str:
+    """This host's fingerprint beside the golden host's, and whether they differ."""
+    here = host_fingerprint().splitlines()
+    there = ["(missing; run: python tests/data/regenerate.py)"]
+    if GOLDEN_HOST.exists():
+        there = [line for line in GOLDEN_HOST.read_text().splitlines() if not line.startswith("#")]
+    verdict = (
+        "the hosts match, so the code moved the numbers"
+        if here == there
+        else "the hosts differ, and rounding may differ with them"
+    )
+    return "\n".join(
+        ["this host:", *(f"  {line}" for line in here),
+         "golden host:", *(f"  {line}" for line in there), verdict]
+    )
 
 
 def _report_mismatch(new: bytes, golden: bytes) -> str:
@@ -67,9 +96,7 @@ def _report_mismatch(new: bytes, golden: bytes) -> str:
         for key in sorted(old.keys() | cur.keys())
         if old.get(key) != cur.get(key)
     ]
-    return "\n".join(
-        ["report deviates from the golden run:", *moved, f"numpy SIMD on this host: {_numpy_simd()}"]
-    )
+    return "\n".join(["report deviates from the golden run:", *moved, _hosts()])
 
 
 def _trace_mismatch(new: bytes, golden: bytes) -> str:
@@ -85,8 +112,22 @@ def _trace_mismatch(new: bytes, golden: bytes) -> str:
     return (
         f"trace deviates from the golden run: {len(differing)} of {len(lines)} lines differ; "
         f"first at line {first + 1}, column {name}: golden {cells[column][0]!r} -> "
-        f"new {cells[column][1]!r}\nnumpy SIMD on this host: {_numpy_simd()}"
+        f"new {cells[column][1]!r}\n{_hosts()}"
     )
+
+
+def test_golden_mismatch_messages_name_both_hosts():
+    # Only the messages read the fingerprints; the comparisons stay byte-exact.
+    assert GOLDEN_HOST.exists(), "golden host missing; run: python tests/data/regenerate.py"
+    here = host_fingerprint()
+    assert re.fullmatch(r"numpy = \S+\nsimd_baseline = .+\nsimd_found = .*\n", here), here
+    trace = b"k,F\n0,1.5\n"
+    for message in (_report_mismatch(b"a = 2\n", b"a = 1\n"),
+                    _trace_mismatch(trace.replace(b"1.5", b"2.5"), trace)):
+        assert "this host:\n  " + here.splitlines()[0] in message
+        assert "\ngolden host:\n  numpy = " in message
+        assert message.endswith(("the hosts match, so the code moved the numbers",
+                                 "the hosts differ, and rounding may differ with them"))
 
 
 @pytest.fixture(scope="module")

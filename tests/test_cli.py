@@ -436,6 +436,21 @@ def test_deblur_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert digests["1"] == digests["2"]
 
 
+def test_deblur_bytes_do_not_depend_on_the_scan_block_size(tmp_path, monkeypatch):
+    # The envelope scan's block size bounds memory and sets no number: the
+    # recorded objective (phi_total, 64 envelope points) must write the same
+    # bytes in one block (the default) as in 22 blocks of three rows.
+    path = deblur_config(tmp_path)
+    path.write_text(path.read_text() + "record_objective = true\n")
+    outputs = {}
+    for run, entries in (("default", moreau._SCAN_ENTRIES), ("blocked", 3 * 501)):
+        monkeypatch.setattr(moreau, "_SCAN_ENTRIES", entries)
+        assert cli.main(["deblur", "--config", str(path), "--out", str(tmp_path / run)]) == 0
+        outputs[run] = [(tmp_path / f"{run}_{name}.csv").read_bytes()
+                        for name in ("trace", "truth", "observation", "reconstruction")]
+    assert outputs["default"] == outputs["blocked"]
+
+
 def set_kernel(path: Path, kernel: str) -> Path:
     text = "\n".join(
         f"kernel = {kernel}" if line.startswith("kernel =") else line

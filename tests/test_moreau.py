@@ -26,6 +26,7 @@ HALF_LOG_4PI = 1.2655121234846454
 
 QUAD = lambda y: 0.5 * np.asarray(y) ** 2
 ABS = lambda y: np.abs(y)
+WAVY = lambda y: np.cos(3.0 * np.asarray(y)) + 0.1 * np.asarray(y) ** 2
 
 
 def test_lower_envelope_quadratic():
@@ -157,10 +158,9 @@ def test_vectorized_unbounded_raises():
 
 def test_blocked_scan_matches_one_block(monkeypatch):
     xs = np.linspace(-6.0, 6.0, 97)
-    wavy = lambda y: np.cos(3.0 * np.asarray(y)) + 0.1 * np.asarray(y) ** 2
-    whole = [lower_envelope_many(wavy, 1.0, xs), upper_envelope_many(np.cos, 1.0, xs)]
+    whole = [lower_envelope_many(WAVY, 1.0, xs), upper_envelope_many(np.cos, 1.0, xs)]
     monkeypatch.setattr(moreau, "_SCAN_ENTRIES", 7 * 501)  # 14 blocks, the last partial
-    blocked = [lower_envelope_many(wavy, 1.0, xs), upper_envelope_many(np.cos, 1.0, xs)]
+    blocked = [lower_envelope_many(WAVY, 1.0, xs), upper_envelope_many(np.cos, 1.0, xs)]
     for (v0, y0), (v1, y1) in zip(whole, blocked):
         assert np.array_equal(v0, v1) and np.array_equal(y0, y1)
 
@@ -182,19 +182,43 @@ def test_only_rows_at_a_window_edge_widen(monkeypatch):
     np.testing.assert_allclose(whole[1], np.where(xs > -15.0, xs + 30.0, xs), atol=1e-6)
 
 
-def test_vectorized_scan_memory_is_bounded():
-    # 61 x 501 points, what a dense inner envelope gets at once when a dense
-    # outer envelope of 61 points scans it (the sandwich check's outer
-    # search is now unimodal and asks 61 x 33): one unblocked scan would
-    # hold three 122 MB arrays.
-    xs = np.linspace(-3.0, 3.0, 30561)
+def test_golden_section_runs_once_per_call(monkeypatch):
+    # Blocks split only the scan: the brackets of every block are refined
+    # in one golden pass, so each extra block costs one extra objective call.
+    xs = np.linspace(-6.0, 6.0, 97)
+    calls = []
+    for entries in (97 * 501, 7 * 501):  # one block, then 14 blocks
+        monkeypatch.setattr(moreau, "_SCAN_ENTRIES", entries)
+        f = _Counting(WAVY)
+        lower_envelope_many(f, 1.0, xs)
+        calls.append(f.calls)
+    assert calls[1] == calls[0] + 13, calls
+
+
+def _traced_peak(fn, *args):
+    """The tracemalloc peak, in bytes, of one call ``fn(*args)``."""
     tracemalloc.start()
     try:
-        lower_envelope_many(np.cos, 1.0, xs)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_vectorized_scan_memory_is_bounded():
+    # 61 x 501 points, what a dense inner envelope gets at once when a dense
+    # outer envelope of 61 points scans it.  The scan holds a few arrays of
+    # one _SCAN_ENTRIES block (256 KB each) at a time; what grows with the
+    # points is the golden pass, a few arrays of 30561 floats (245 KB each).
+    peak = _traced_peak(lower_envelope_many, np.cos, 1.0, np.linspace(-3.0, 3.0, 30561))
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_phi_route_memory_is_bounded():
+    # phi_total on a 32 x 32 image: 1024 envelope points of gmix2 f_Z
+    reg = Regularizer(Denoiser(make_marginal("gmix2", 0.04)))
+    peak = _traced_peak(reg.phi_envelope_profile, np.linspace(-4.0, 4.0, 1024))
+    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_sandwich_identity_quadratic():
