@@ -20,7 +20,6 @@ from .moreau import (
     envelope_gradient,
     lower_envelope,
     lower_envelope_many,
-    prox,
     upper_envelope,
     upper_envelope_many,
 )
@@ -39,14 +38,9 @@ from .pnp import (
     write_trace_csv,
 )
 from .prior import ComponentKind, MixtureComponent, MixturePrior
-from .regularizer import (
-    CertificateReport,
-    Regularizer,
-    certify_weak_convexity,
-)
+from .regularizer import Regularizer, certify_weak_convexity
 
 __all__ = [
-    "CertificateReport",
     "CircularConv2D",
     "ComponentKind",
     "Denoiser",
@@ -73,7 +67,6 @@ __all__ = [
     "gaussian_blur_kernel",
     "lower_envelope",
     "lower_envelope_many",
-    "prox",
     "psnr",
     "rate_certificate",
     "run",

@@ -22,8 +22,9 @@ Config files are a strict flat key/value format with [section] headers,
 ``#`` comments, one ``key = value`` per line.  ``_SCHEMA`` names each
 key's parser, and each value is parsed as it is read.  Unknown sections or
 keys, duplicate keys, and malformed values, even in a key the invoked
-experiment does not read, are all hard errors that name the offending line.  Exit codes: 0 success, 1 validation failure, 2 numerical
-failure (including any FAIL in the certificate suite).
+experiment does not read, are all hard errors that name the offending line.
+Exit codes: 0 success, 1 bad config or command line, 2 numerical failure
+(including any FAIL in the certificate suite).
 """
 
 from __future__ import annotations
@@ -61,6 +62,22 @@ def _parse_float(s: str) -> float:
 
 def _parse_int(s: str) -> int:
     return int(s, 10)
+
+
+def _parse_seed(s: str) -> int:
+    """A seed: numpy's generators take non-negative integers only."""
+    v = _parse_int(s)
+    if v < 0:
+        raise ValueError(f"must be a non-negative integer, got {s!r}")
+    return v
+
+
+def _seed_argument(s: str) -> int:
+    """``_parse_seed`` for argparse, which prints the message of this type."""
+    try:
+        return _parse_seed(s)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _parse_bool(s: str) -> bool:
@@ -125,7 +142,7 @@ def _parse_lambda(s: str) -> float | None:
 
 # section -> key -> parser of its (stripped) value
 _SCHEMA = {
-    "experiment": {"kind": _parse_experiment, "seed": _parse_int},
+    "experiment": {"kind": _parse_experiment, "seed": _parse_seed},
     "prior": {
         "kinds": _parse_list(_parse_choice({k.value: k for k in ComponentKind})),
         "weights": _parse_float_list,
@@ -407,11 +424,10 @@ def _check_moreau_identity(reg: Regularizer, seed: int) -> dict[str, float]:
 
 
 def _check_weak_convexity(reg: Regularizer, seed: int) -> dict[str, float]:
-    cert = reg.weak_convexity_certificate(reg.default_grid(points=201))
     control = certify_weak_convexity(lambda x: -np.asarray(x) ** 2, np.linspace(-3, 3, 201))
     return {
-        "min_second_difference": cert.min_second_difference,
-        "control_min_second_difference": control.min_second_difference,
+        "min_second_difference": reg.weak_convexity_certificate(reg.default_grid(points=201)),
+        "control_min_second_difference": control,
     }
 
 
@@ -549,8 +565,12 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the experiment config")
         p.add_argument("--out", default=None, help="output path prefix (overrides [output] prefix)")
-        p.add_argument("--seed", type=int, default=None, help="seed (overrides [experiment] seed)")
-    args = parser.parse_args(argv)
+        p.add_argument("--seed", type=_seed_argument, default=None,
+                       help="seed (overrides [experiment] seed)")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, here a numerical failure's code
+        return 0 if exc.code == 0 else 1
 
     try:
         text = Path(args.config).read_text(encoding="utf-8")

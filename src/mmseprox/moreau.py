@@ -7,30 +7,31 @@ The lower envelope at parameter gamma is
 and the upper envelope is the sup with the quadratic subtracted; both
 optimize over the whole real line.  ``f`` is a plain callable that acts
 elementwise on an ndarray and may return +inf (or NaN, read as +inf) where
-it is undefined.  Every
-envelope runs on one core: ``_scan`` evaluates the objective on a uniform
-grid around each x (widening, row by row, the windows whose optimum sits
-on an edge), and ``_golden`` refines grid brackets down to rounding by
-golden section, one row per bracket.  So each x gets the result it gets
-alone, however many points are asked for at once.
+it is undefined.  Every envelope runs on one core: ``_scan`` evaluates
+the objective on a uniform grid around each x (widening, row by row, the
+windows whose optimum sits on an edge), and ``_golden`` refines grid
+brackets down to rounding by golden section, one row per bracket.  So
+each x gets the result it gets alone, however many points are asked for
+at once.  Each kind of search has one fixed grid size per window.
 
-The scalar ``lower_envelope`` / ``upper_envelope`` refine every grid-local
-optimum basin and keep the best refined candidate.  Near-ties (within
-``_TIE_TOL`` in value) are reported in ``candidates`` so callers can detect
-a multi-valued proximal map; the reported optimizer is always the smallest
-tied one.
+The scalar ``lower_envelope`` / ``upper_envelope`` scan
+``_SCALAR_GRID_POINTS``, refine every grid-local optimum basin and keep
+the best refined candidate.  Near-ties (within ``_TIE_TOL`` in value) are
+reported in ``candidates`` so callers can detect a multi-valued proximal
+map; the reported optimizer is always the smallest tied one.
 
 The ``*_many`` variants vectorize one envelope evaluation per entry of
 ``xs`` and refine only the best grid basin per entry.  They scan in blocks
 of at most ``_SCAN_ENTRIES`` grid entries, sized so that a block's arrays
 stay in a core's L2 cache, keep only each entry's grid bracket, and then
-refine every bracket in one golden-section pass.  By default they scan a
-dense grid, so that the best grid point lies in the global basin even when
-the objective has several: the inner lower envelope of ``cos 3y`` in the
-sandwich check is multimodal on purpose, and the envelope route of phi
-(``Regularizer.phi_envelope_profile``) searches densely too.
+refine every bracket in one golden-section pass.  By default they scan
+the dense ``_DENSE_GRID_POINTS``, so that the best grid point lies in the
+global basin even when the objective has several: the inner lower
+envelope of ``cos 3y`` in the sandwich check is multimodal on purpose,
+and the envelope route of phi (``Regularizer.phi_envelope_profile``)
+searches densely too.
 
-With ``unimodal=True`` they scan only ``_UNIMODAL_GRID_POINTS`` points, for
+With ``unimodal=True`` they scan only ``_UNIMODAL_GRID_POINTS``, for
 objectives with a proof of a single basin, and check it: every grid row
 must fall and then rise to within ``_TIE_TOL`` relative, or the search
 raises :class:`EnvelopeNotUnimodalError` rather than pick a basin.  The
@@ -49,7 +50,7 @@ callers with a proof:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +61,6 @@ __all__ = [
     "MultivaluedProxError",
     "lower_envelope",
     "upper_envelope",
-    "prox",
     "envelope_gradient",
     "lower_envelope_many",
     "upper_envelope_many",
@@ -68,12 +68,9 @@ __all__ = [
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Golden section stops once a bracket is this narrow relative to its
-# magnitude; refined values within _TIE_TOL of the best count as tied; the
-# scalar search calls its optimizer converged when the central-difference
-# slope of the objective there is at most _STATIONARITY_TOL.
+# magnitude; refined values within _TIE_TOL of the best count as tied.
 _GOLDEN_TOL = 1e-13
 _TIE_TOL = 1e-9
-_STATIONARITY_TOL = 1e-5
 # The vectorized envelopes scan at most this many grid entries at once, so
 # each (rows, grid_points) float array of a scan is 256 KB however many
 # points are asked for: the grid, the f rows and the objective of one block
@@ -81,8 +78,9 @@ _STATIONARITY_TOL = 1e-5
 # memory.  The block size sets no result: every row is scanned and refined
 # as if alone.
 _SCAN_ENTRIES = 2**15
-# The vectorized envelopes scan this many grid points per window by
-# default, and this many when the objective is proven unimodal.
+# Grid points per search window of the scalar, the dense vectorized and
+# the unimodal vectorized envelopes.
+_SCALAR_GRID_POINTS = 2001
 _DENSE_GRID_POINTS = 501
 _UNIMODAL_GRID_POINTS = 33
 
@@ -106,13 +104,11 @@ class EnvelopeResult:
 
     ``candidates`` lists every refined optimizer whose value ties the best
     one within the tie tolerance; ``argopt`` is the smallest of them.
-    ``converged`` means the objective is stationary at ``argopt``.
     """
 
     value: float
     argopt: float
-    converged: bool
-    candidates: tuple[float, ...] = field(default_factory=tuple)
+    candidates: tuple[float, ...]
 
 
 def _objective(eval_fn, sign: float, gamma: float, ys: np.ndarray, xs) -> np.ndarray:
@@ -137,8 +133,10 @@ def _objective(eval_fn, sign: float, gamma: float, ys: np.ndarray, xs) -> np.nda
 
 def _check_finite(vals: np.ndarray, xs: np.ndarray) -> None:
     """Raise unless every row of grid values has a finite entry."""
-    if not np.isfinite(vals).any(axis=1).all():
-        raise ValueError("objective is non-finite on the entire search grid")
+    bad = ~np.isfinite(vals).any(axis=1)
+    if bad.any():
+        x = float(xs[np.argmax(bad)])
+        raise ValueError(f"envelope objective at x={x!r} is non-finite on the entire search grid")
 
 
 def _check_unimodal(vals: np.ndarray, xs: np.ndarray) -> None:
@@ -244,27 +242,25 @@ def _golden(eval_fn, sign, gamma, a: np.ndarray, b: np.ndarray, xs: np.ndarray):
     return y, v
 
 
-def _points(gamma: float, xs, grid_points: int) -> np.ndarray:
+def _points(gamma: float, xs) -> np.ndarray:
     """Validated settings; the envelope points as a flat float array."""
     if not (np.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gamma must be finite and > 0, got {gamma!r}")
-    if grid_points < 3:
-        raise ValueError("grid_points must be >= 3")
     flat = np.asarray(xs, dtype=float).reshape(-1)
     if not np.isfinite(flat).all():
         raise ValueError("envelope point must be finite")
     return flat
 
 
-def _search(f, gamma: float, x: float, sign: float, grid_points: int) -> EnvelopeResult:
+def _search(f, gamma: float, x: float, sign: float) -> EnvelopeResult:
     """Minimize sign*f(y) + (y-x)^2/(2 gamma) over the real line."""
-    xs = _points(gamma, x, grid_points)
-    ys, vals = _scan(f, sign, gamma, xs, grid_points)
+    xs = _points(gamma, x)
+    ys, vals = _scan(f, sign, gamma, xs, _SCALAR_GRID_POINTS)
 
     # Candidate basins: every finite grid-local minimum, the window ends
     # included; all of them are refined together, one golden-section row each.
     v = vals[0]
-    basin = np.zeros(grid_points, dtype=bool)
+    basin = np.zeros(v.size, dtype=bool)
     basin[1:-1] = (v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])
     basin[0] = v[0] <= v[1]
     basin[-1] = v[-1] <= v[-2]
@@ -281,40 +277,30 @@ def _search(f, gamma: float, x: float, sign: float, grid_points: int) -> Envelop
     for y in tied.tolist():
         if not distinct or abs(y - distinct[-1]) > 1e-6 * max(1.0, abs(y)):
             distinct.append(y)
-    argopt = distinct[0]
-    h = 1e-6 * max(1.0, abs(argopt))
-    up, down = _objective(f, sign, gamma, np.array([argopt + h, argopt - h]), xs[0])
-
     return EnvelopeResult(
         value=best_val if sign > 0 else -best_val,
-        argopt=argopt,
-        converged=bool(abs((up - down) / (2.0 * h)) <= _STATIONARITY_TOL),
+        argopt=distinct[0],
         candidates=tuple(distinct),
     )
 
 
-def lower_envelope(f, gamma: float, x: float, *, grid_points: int = 2001) -> EnvelopeResult:
+def lower_envelope(f, gamma: float, x: float) -> EnvelopeResult:
     """inf_y f(y) + (y - x)^2 / (2 gamma), with the minimizing y."""
-    return _search(f, gamma, x, 1.0, grid_points)
+    return _search(f, gamma, x, 1.0)
 
 
-def upper_envelope(f, gamma: float, x: float, *, grid_points: int = 2001) -> EnvelopeResult:
+def upper_envelope(f, gamma: float, x: float) -> EnvelopeResult:
     """sup_y f(y) - (y - x)^2 / (2 gamma), with the maximizing y."""
-    return _search(f, gamma, x, -1.0, grid_points)
+    return _search(f, gamma, x, -1.0)
 
 
-def prox(f, gamma: float, x: float, **kwargs) -> float:
-    """The (assumed single-valued) proximal point argmin f(y) + (y-x)^2/(2 gamma)."""
-    return lower_envelope(f, gamma, x, **kwargs).argopt
-
-
-def envelope_gradient(f, gamma: float, x: float, **kwargs) -> float:
+def envelope_gradient(f, gamma: float, x: float) -> float:
     """Gradient (x - prox(x)) / gamma of the lower envelope at x.
 
     The identity requires a single-valued, continuous proximal map; a
     multi-valued prox (tied minimizers) raises :class:`MultivaluedProxError`.
     """
-    res = lower_envelope(f, gamma, x, **kwargs)
+    res = lower_envelope(f, gamma, x)
     if len(res.candidates) > 1:
         raise MultivaluedProxError(
             f"prox is multi-valued at x={x!r}: tied minimizers {res.candidates!r}; "
@@ -326,17 +312,13 @@ def envelope_gradient(f, gamma: float, x: float, **kwargs) -> float:
 # -- vectorized single-basin variants -----------------------------------------
 
 
-def _envelope_many(eval_fn, gamma, xs, sign, grid_points, unimodal):
+def _envelope_many(eval_fn, gamma, xs, sign, unimodal):
     if unimodal:
-        if grid_points is not None:
-            raise ValueError("the unimodal search scans its own grid; pass no grid_points")
         grid_points, check = _UNIMODAL_GRID_POINTS, _check_unimodal
     else:
-        if grid_points is None:
-            grid_points = _DENSE_GRID_POINTS
-        check = _check_finite
+        grid_points, check = _DENSE_GRID_POINTS, _check_finite
     shape = np.shape(xs)
-    flat = _points(gamma, xs, grid_points)
+    flat = _points(gamma, xs)
     a, b = np.empty_like(flat), np.empty_like(flat)
     rows = max(1, _SCAN_ENTRIES // grid_points)
     for start in range(0, flat.size, rows):
@@ -348,21 +330,19 @@ def _envelope_many(eval_fn, gamma, xs, sign, grid_points, unimodal):
     return values.reshape(shape), y.reshape(shape)
 
 
-def lower_envelope_many(eval_fn, gamma: float, xs, *, grid_points: int | None = None,
-                        unimodal: bool = False):
+def lower_envelope_many(eval_fn, gamma: float, xs, *, unimodal: bool = False):
     """Vectorized lower envelope, best grid basin per point; returns (values, argopts).
 
     ``unimodal=True`` asserts that the objective has one basin: the search
     scans a short grid, checks it, and raises
     :class:`EnvelopeNotUnimodalError` where the check fails.
     """
-    return _envelope_many(eval_fn, gamma, xs, 1.0, grid_points, unimodal)
+    return _envelope_many(eval_fn, gamma, xs, 1.0, unimodal)
 
 
-def upper_envelope_many(eval_fn, gamma: float, xs, *, grid_points: int | None = None,
-                        unimodal: bool = False):
+def upper_envelope_many(eval_fn, gamma: float, xs, *, unimodal: bool = False):
     """Vectorized upper envelope, best grid basin per point; returns (values, argopts).
 
     ``unimodal`` as in :func:`lower_envelope_many`.
     """
-    return _envelope_many(eval_fn, gamma, xs, -1.0, grid_points, unimodal)
+    return _envelope_many(eval_fn, gamma, xs, -1.0, unimodal)

@@ -125,12 +125,10 @@ def run(
     fid: Fidelity,
     reg: Regularizer,
     cfg: SolverConfig,
-    x0=None,
 ) -> SolverTrace:
-    """Iterate the scheme for cfg.max_iters steps, recording each step.
+    """Iterate the scheme from cfg.init for cfg.max_iters steps, recording each step.
 
-    ``x0`` overrides cfg.init with an explicit starting point.  Without
-    recorded objectives F is NaN, and so is every descent slack.
+    Without recorded objectives F is NaN, and so is every descent slack.
     """
     L = fid.lipschitz()
     if not L < 1.0:
@@ -144,12 +142,7 @@ def run(
             return math.nan
         return fid.value(x) + reg.phi_total(x)
 
-    if x0 is not None:
-        x = np.asarray(x0, dtype=float).reshape(-1).copy()
-        if x.size != fid.op.input_size:
-            raise ValueError(f"x0 has {x.size} entries, operator expects {fid.op.input_size}")
-    else:
-        x = _initial_point(fid, cfg.init)
+    x = _initial_point(fid, cfg.init)
     # Every x here is a fresh array that nothing writes into, so the
     # iterates are kept without copies.
     iterates = [x]
@@ -216,27 +209,23 @@ def rate_certificate(trace: SolverTrace) -> RateCertificate:
     return RateCertificate(C=C, F1=F1, Fstar_estimate=Fstar, violations=violations)
 
 
-def psnr(x, truth, peak: float | None = None) -> float:
-    """Peak signal-to-noise ratio in dB against a known clean signal."""
+def psnr(x, truth) -> float:
+    """Peak signal-to-noise ratio in dB against a known clean signal (peak: its max)."""
     x = np.asarray(x, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if x.shape != truth.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {truth.shape}")
-    peak = float(truth.max()) if peak is None else float(peak)
+    peak = float(truth.max())
     mse = float(np.mean((x - truth) ** 2))
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(peak**2 / mse)
 
 
-def write_trace_csv(trace: SolverTrace, destination, truth=None) -> None:
-    """Emit the trace; the psnr column is nan unless a clean signal is given.
-
-    The psnr at row k is measured on the iterate the step started from.
-    """
+def write_trace_csv(trace: SolverTrace, destination, truth) -> None:
+    """Emit the trace; the psnr against the clean signal ``truth`` at row k
+    is measured on the iterate the step started from."""
     fields = ("k", "objective_F", "residual", "best_residual", "descent_slack", "step_norm")
     columns = [[getattr(rec, name) for rec in trace.records] for name in fields]
-    columns.append(
-        [math.nan if truth is None else psnr(trace.iterates[rec.k - 1], truth) for rec in trace.records]
-    )
+    columns.append([psnr(trace.iterates[rec.k - 1], truth) for rec in trace.records])
     write_text(destination, csv_text("k,F,residual,best_residual,descent_slack,step_norm,psnr", columns))

@@ -118,16 +118,6 @@ class MixturePrior:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def gaussian(cls, location=0.0, scale=1.0, dimension=None) -> "MixturePrior":
-        c = MixtureComponent(ComponentKind.GAUSSIAN, location, scale, 1.0)
-        return cls((c,), dimension)
-
-    @classmethod
-    def laplace(cls, location=0.0, scale=1.0, dimension=None) -> "MixturePrior":
-        c = MixtureComponent(ComponentKind.LAPLACE, location, scale, 1.0)
-        return cls((c,), dimension)
-
-    @classmethod
     def from_arrays(
         cls,
         kinds: Sequence[str | ComponentKind],

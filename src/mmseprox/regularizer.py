@@ -19,16 +19,16 @@ additionally finite off-image whenever the envelope objective is bounded,
 which is what makes it usable as a solver objective (``phi_total``).
 
 Weak-convexity certification has one rule, ``certify_weak_convexity``:
-the central second differences of f + x^2/2 over a uniform grid must all
-be >= -1e-5.  The regularizer applies it to the envelope route on the
-in-image part of a grid; any plain callable can be passed too, so a
-known-nonconvex control can be shown to fail.
+the smallest central second difference of f + x^2/2 over a uniform grid.
+The verdict is the ``weak_convexity`` gate row's (``cli._CERTIFICATES``):
+it must be >= -CONVEXITY_TOL.  The regularizer applies the rule to the
+envelope route on the in-image part of a grid; any plain callable can be
+passed too, so a known-nonconvex control can be shown to fail.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .denoiser import INVERT_TOL, Denoiser
 from .textio import csv_text, write_text
 
 __all__ = [
-    "CertificateReport",
     "Regularizer",
     "certify_weak_convexity",
 ]
@@ -46,14 +45,6 @@ __all__ = [
 # difference of phi + x^2/2 may sit and still certify.
 _ANCHOR = 0.0
 CONVEXITY_TOL = 1e-5
-
-
-@dataclass(frozen=True)
-class CertificateReport:
-    """Outcome of a second-difference weak-convexity check."""
-
-    passed: bool
-    min_second_difference: float
 
 
 def _check_uniform_grid(grid: np.ndarray) -> float:
@@ -66,22 +57,21 @@ def _check_uniform_grid(grid: np.ndarray) -> float:
     return h
 
 
-def certify_weak_convexity(eval_fn, grid) -> CertificateReport:
+def certify_weak_convexity(eval_fn, grid) -> float:
     """Min central second difference of eval_fn + x^2/2 on a uniform grid;
-    PASS iff it is >= -1e-5 (1-weak convexity up to rounding)."""
+    1-weak convexity certifies, up to rounding, iff it is >= -CONVEXITY_TOL."""
     grid = np.asarray(grid, dtype=float)
     h = _check_uniform_grid(grid)
     g = np.asarray(eval_fn(grid), dtype=float) + 0.5 * grid**2
-    worst = float(((g[:-2] - 2.0 * g[1:-1] + g[2:]) / h**2).min())
-    return CertificateReport(passed=bool(worst >= -CONVEXITY_TOL), min_second_difference=worst)
+    return float(((g[:-2] - 2.0 * g[1:-1] + g[2:]) / h**2).min())
 
 
 class Regularizer:
     """Evaluates the denoiser-implied regularizer by both routes.
 
-    The anchor constant is computed eagerly at construction at the anchor
-    point 0; ``c_constant`` recomputes it at any other anchor so anchor
-    independence can be checked.
+    The anchor constant ``c_anchor`` is computed eagerly at construction at
+    the anchor point 0; ``c_constant`` recomputes it at any other anchor so
+    anchor independence can be checked.
     """
 
     def __init__(self, denoiser: Denoiser):
@@ -91,10 +81,8 @@ class Regularizer:
 
     # -- anchor constant ---------------------------------------------------------
 
-    def c_constant(self, anchor: float | None = None) -> float:
-        """Anchor constant; pass a different anchor to check independence."""
-        if anchor is None:
-            return self.c_anchor
+    def c_constant(self, anchor: float) -> float:
+        """The anchor constant computed at ``anchor``."""
         x0arr = np.array([float(anchor)])
         psi0 = float(self.denoiser.scalar_apply(x0arr)[0])
         value, in_image = self.phi_explicit_profile(psi0)
@@ -143,7 +131,7 @@ class Regularizer:
 
     # -- certification -----------------------------------------------------------
 
-    def weak_convexity_certificate(self, grid) -> CertificateReport:
+    def weak_convexity_certificate(self, grid) -> float:
         """``certify_weak_convexity`` of the envelope-route phi on the
         in-image part of a uniform grid; phi is evaluated there only, so
         a grid may reach past a bounded image."""

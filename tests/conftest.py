@@ -20,7 +20,10 @@ MARGINAL_NAMES = FIXTURE_NAMES + ("lapgauss",)
 
 def make_prior(name: str, dimension: int | None = None) -> MixturePrior:
     if name == "gauss1":
-        return MixturePrior.gaussian(0.0, 1.0, dimension=dimension)
+        return MixturePrior.from_arrays(
+            kinds=[ComponentKind.GAUSSIAN], weights=[1.0], locations=[0.0], scales=[1.0],
+            dimension=dimension,
+        )
     if name == "gmix2":
         return MixturePrior.from_arrays(
             kinds=[ComponentKind.GAUSSIAN, ComponentKind.GAUSSIAN],
@@ -30,7 +33,10 @@ def make_prior(name: str, dimension: int | None = None) -> MixturePrior:
             dimension=dimension,
         )
     if name == "laplace1":
-        return MixturePrior.laplace(0.0, 1.0, dimension=dimension)
+        return MixturePrior.from_arrays(
+            kinds=[ComponentKind.LAPLACE], weights=[1.0], locations=[0.0], scales=[1.0],
+            dimension=dimension,
+        )
     if name == "lapgauss":
         return MixturePrior.from_arrays(
             kinds=[ComponentKind.LAPLACE, ComponentKind.GAUSSIAN],

@@ -9,6 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import child  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
@@ -23,6 +24,14 @@ def test_tracer_wraps_and_restores_every_name():
     finally:
         tracer.restore()
     assert tracer.restored()
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_setup_probe_builds_its_models(name):
+    # The set-up probe builds package types by their own constructors (for
+    # example from_arrays with dimension=, Fidelity.auto and
+    # gaussian_blur_kernel); a run whose probe fails measures nothing.
+    child._build_models(workloads.toy(workloads.WORKLOADS[name]).model_spec(3))
 
 
 @pytest.mark.parametrize("name", ["deblur-32-objective", "deblur-256-plain", "certificates-gmix2"])

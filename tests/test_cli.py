@@ -250,6 +250,12 @@ def test_missing_domain_section_named(tmp_path, capsys):
         ("denoiser-check", ("weights = 1\n", "weights = 0.5\n"), 1,
          "section [prior]: component weights must sum to 1"),
         ("denoiser-check", ("points = 41", "points = 2"), 1, "grid.points must be >= 3"),
+        # numpy's generators take no negative seed; the regularizer-recovery
+        # run draws nothing, but the line is rejected all the same
+        ("deblur", ("seed = 0", "seed = -3"), 1,
+         "line 3: bad value for experiment.seed: must be a non-negative integer, got '-3'"),
+        ("regularizer-recovery", ("[prior]", "[experiment]\nseed = -3\n[prior]"), 1,
+         "line 2: bad value for experiment.seed: must be a non-negative integer"),
         ("denoiser-check", ("points = 41", "half_width_scales = 0"), 1,
          "grid.half_width_scales must be > 0"),
         ("deblur", ("height = 8", "height = 2"), 1, "section [operator]: kernel shape (3, 3)"),
@@ -261,8 +267,9 @@ def test_missing_domain_section_named(tmp_path, capsys):
         ("regularizer-recovery", ("scales = 0.5, 0.5", "scales = 0.0001, 0.0001"), 2,
          "numerical failure: envelope objective"),
     ],
-    ids=["missing-key", "bad-prior", "grid-points", "grid-half-width", "kernel-too-large",
-         "lambda", "measurement-sigma2", "numerical-failure"],
+    ids=["missing-key", "bad-prior", "grid-points", "negative-seed-deblur",
+         "negative-seed-recovery", "grid-half-width", "kernel-too-large", "lambda",
+         "measurement-sigma2", "numerical-failure"],
 )
 def test_config_value_errors(tmp_path, capsys, command, edit, code, message):
     if command == "deblur":
@@ -277,6 +284,27 @@ def test_config_value_errors(tmp_path, capsys, command, edit, code, message):
     rc = cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == code
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ([], "the following arguments are required: --config"),
+        (["--config", "c.ini", "--seed", "x"], "argument --seed: invalid literal"),
+        (["--config", "c.ini", "--seed", "-1"],
+         "argument --seed: must be a non-negative integer, got '-1'"),
+    ],
+    ids=["missing-config", "seed-not-an-integer", "negative-seed"],
+)
+def test_usage_errors_exit_1(capsys, args, message):
+    # argparse's own usage exit is 2, which here means a numerical failure
+    assert cli.main(["deblur", *args]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert cli.main(["deblur", "--help"]) == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_missing_output_prefix(tmp_path, capsys):

@@ -141,7 +141,7 @@ def test_two_point_image_is_bounded(two_point_denoiser):
 def test_far_targets_of_an_unbounded_image_are_bracketed():
     # D(y) = y / 1.04 maps onto R, so every target has a preimage, however
     # many noise standard deviations (here 0.2) away from 0 it lies.
-    den = Denoiser(Marginal(MixturePrior.gaussian(0.0, 1.0), NoiseModel(0.04)))
+    den = Denoiser(make_marginal("gauss1", 0.04))
     xs = np.array([1e7, -1e9])
     ys, res = den.scalar_invert(xs)
     assert np.all(res <= 1e-10 * np.abs(xs))
@@ -315,7 +315,7 @@ def test_gaussian_bracket_holds_the_exact_preimage(ratio, sigma2):
     # lose ~eps * sigma2/s^2 relative, past the rounding allowance once s
     # is far below sigma.  The exact preimage comes from rational arithmetic.
     mu, scale = 0.35, ratio * math.sqrt(sigma2)
-    marg = Marginal(MixturePrior.gaussian(mu, scale), NoiseModel(sigma2))
+    marg = Marginal(MixturePrior.from_arrays(["gaussian"], [1.0], [mu], [scale]), NoiseModel(sigma2))
     xs = np.linspace(-50.0, 50.0, 41)
     lo, hi = marg.preimage_bracket(xs)
     s2, t2 = Fraction(scale) ** 2, Fraction(sigma2)

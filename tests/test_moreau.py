@@ -16,7 +16,6 @@ from mmseprox import (
     envelope_gradient,
     lower_envelope,
     lower_envelope_many,
-    prox,
     Regularizer,
     upper_envelope,
     upper_envelope_many,
@@ -34,7 +33,6 @@ def test_lower_envelope_quadratic():
     r = lower_envelope(QUAD, 1.0, 2.0)
     assert r.value == pytest.approx(1.0, abs=1e-10)
     assert r.argopt == pytest.approx(1.0, abs=1e-6)
-    assert r.converged
 
 
 def test_lower_envelope_absolute():
@@ -44,7 +42,6 @@ def test_lower_envelope_absolute():
     r = lower_envelope(ABS, 1.0, 3.0)
     assert r.value == pytest.approx(2.5, abs=1e-10)
     assert r.argopt == pytest.approx(2.0, abs=1e-6)
-    assert r.converged
 
 
 def test_upper_envelope_quadratic():
@@ -52,7 +49,6 @@ def test_upper_envelope_quadratic():
     r = upper_envelope(QUAD, 0.5, 1.0)
     assert r.value == pytest.approx(1.0, abs=1e-10)
     assert r.argopt == pytest.approx(2.0, abs=1e-6)
-    assert r.converged
 
 
 def test_upper_envelope_standard_normal_marginal():
@@ -65,9 +61,10 @@ def test_upper_envelope_standard_normal_marginal():
 
 
 def test_prox_values():
-    assert prox(ABS, 1.0, -0.3) == pytest.approx(0.0, abs=1e-6)  # soft threshold
-    assert prox(ABS, 1.0, 3.0) == pytest.approx(2.0, abs=1e-6)
-    assert prox(QUAD, 2.0, 3.0) == pytest.approx(1.0, abs=1e-6)  # 3 / (1 + gamma)
+    # the prox is the lower envelope's minimizer
+    assert lower_envelope(ABS, 1.0, -0.3).argopt == pytest.approx(0.0, abs=1e-6)  # soft threshold
+    assert lower_envelope(ABS, 1.0, 3.0).argopt == pytest.approx(2.0, abs=1e-6)
+    assert lower_envelope(QUAD, 2.0, 3.0).argopt == pytest.approx(1.0, abs=1e-6)  # 3 / (1 + gamma)
 
 
 def test_envelope_gradient_absolute():
@@ -99,7 +96,6 @@ def test_double_well_ties_and_multivalued_prox():
     assert r.value == pytest.approx(7.0 / 16.0, abs=1e-9)
     assert len(r.candidates) == 2
     assert r.argopt == pytest.approx(-root, abs=1e-6)  # deterministic: smaller tie
-    assert prox(w, 1.0, 0.0) == pytest.approx(-root, abs=1e-6)
     with pytest.raises(MultivaluedProxError):
         envelope_gradient(w, 1.0, 0.0)
     # off the symmetry point the prox is single-valued again
@@ -111,12 +107,16 @@ def test_double_well_ties_and_multivalued_prox():
 
 def test_nonfinite_window_raises_the_same_error():
     nowhere = lambda y: np.full(np.shape(y), np.nan)
-    with pytest.raises(ValueError) as scalar:
-        lower_envelope(nowhere, 1.0, 0.0)
-    with pytest.raises(ValueError) as many:
-        lower_envelope_many(nowhere, 1.0, np.array([0.0]))
+    with pytest.raises(ValueError, match=r"at x=0\.25 is non-finite") as scalar:
+        lower_envelope(nowhere, 1.0, 0.25)
+    with pytest.raises(ValueError, match=r"at x=0\.25 is non-finite") as many:
+        lower_envelope_many(nowhere, 1.0, np.array([0.25]))
     assert scalar.type is many.type is ValueError
     assert str(scalar.value) == str(many.value)
+    # the first point whose window holds no finite value is the one named
+    far_left = lambda y: np.where(np.asarray(y) < -40.0, 0.0, np.nan)
+    with pytest.raises(ValueError, match=r"at x=0\.25 is non-finite"):
+        lower_envelope_many(far_left, 1.0, np.array([-30.0, 0.25, 1.0]))
 
 
 def test_validation_errors():
@@ -126,8 +126,6 @@ def test_validation_errors():
         lower_envelope(QUAD, -1.0, 1.0)
     with pytest.raises(ValueError):
         lower_envelope(QUAD, 1.0, np.inf)
-    with pytest.raises(ValueError):
-        lower_envelope(QUAD, 1.0, 1.0, grid_points=2)
 
 
 def test_vectorized_matches_scalar():
@@ -376,11 +374,6 @@ def test_unimodal_search_refuses_several_basins():
     wavy = lambda y: np.cos(3.0 * np.asarray(y))
     with pytest.raises(EnvelopeNotUnimodalError, match="more than one basin"):
         lower_envelope_many(wavy, 1.0, np.linspace(-3.0, 3.0, 7), unimodal=True)
-
-
-def test_unimodal_search_sets_its_own_grid():
-    with pytest.raises(ValueError, match="its own grid"):
-        lower_envelope_many(QUAD, 1.0, np.array([0.0]), grid_points=301, unimodal=True)
 
 
 class _SqueezedTwoPoint(TwoPointMarginal):
