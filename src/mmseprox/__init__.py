@@ -7,9 +7,12 @@ denoiser (`denoiser`); inverting the denoiser recovers the penalty the
 denoiser is the proximal operator of (`regularizer`), with one-dimensional
 Moreau envelope machinery in `moreau`; `operators` and `pnp` pose circular
 deblurring problems and run proximal-gradient iterations with the denoiser as
-the proximal step; `cli` exposes config-driven experiments.
+the proximal step; `certificates` checks the chain's claims numerically, and
+`cli` exposes config-driven experiments.
 """
 
+from .certificates import (CERTIFICATES, COMPARISONS, CONVEXITY_TOL, NUMERICAL_FAILURES, passes,
+                           run_certificates)
 from .denoiser import Denoiser, QuadratureError
 from .marginal import Marginal, NoiseModel
 from .moreau import (
@@ -23,7 +26,7 @@ from .moreau import (
     upper_envelope,
     upper_envelope_many,
 )
-from .operators import CircularConv2D, Fidelity, gaussian_blur_kernel
+from .operators import CircularConv2D, Fidelity, gaussian_blur_kernel, observe
 from .pnp import (
     DivergenceError,
     Init,
@@ -38,9 +41,12 @@ from .pnp import (
     write_trace_csv,
 )
 from .prior import ComponentKind, MixtureComponent, MixturePrior
-from .regularizer import Regularizer, certify_weak_convexity
+from .regularizer import ImageGridError, Regularizer, certify_weak_convexity
 
 __all__ = [
+    "CERTIFICATES",
+    "COMPARISONS",
+    "CONVEXITY_TOL",
     "CircularConv2D",
     "ComponentKind",
     "Denoiser",
@@ -49,12 +55,14 @@ __all__ = [
     "EnvelopeResult",
     "EnvelopeUnboundedError",
     "Fidelity",
+    "ImageGridError",
     "Init",
     "IterRecord",
     "Marginal",
     "MixtureComponent",
     "MixturePrior",
     "MultivaluedProxError",
+    "NUMERICAL_FAILURES",
     "NoiseModel",
     "QuadratureError",
     "RateCertificate",
@@ -67,9 +75,12 @@ __all__ = [
     "gaussian_blur_kernel",
     "lower_envelope",
     "lower_envelope_many",
+    "observe",
+    "passes",
     "psnr",
     "rate_certificate",
     "run",
+    "run_certificates",
     "upper_envelope",
     "upper_envelope_many",
     "write_trace_csv",

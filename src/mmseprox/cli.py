@@ -9,8 +9,8 @@ Subcommands map one-to-one onto experiments:
   deblur                simulate a blurred noisy observation of a sample
                         from the prior, run the solver, emit the trace and
                         the truth/observation/reconstruction grids
-  certificate-suite     run the numerical certificate battery and emit a
-                        deterministic PASS/FAIL report
+  certificate-suite     run the checks of the ``certificates`` module and
+                        emit a deterministic PASS/FAIL report
 
 Only deblur has an [operator] section.  Its one kind is conv2d, the
 library's one operator (a circular 2-D blur).  The prior is a scalar
@@ -24,26 +24,24 @@ key's parser, and each value is parsed as it is read.  Unknown sections or
 keys, duplicate keys, and malformed values, even in a key the invoked
 experiment does not read, are all hard errors that name the offending line.
 Exit codes: 0 success, 1 bad config or command line, 2 numerical failure
-(including any FAIL in the certificate suite).
+(``certificates.NUMERICAL_FAILURES``) or any FAIL in the certificate suite.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import operator
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import moreau, pnp
-from .denoiser import Denoiser, QuadratureError
+from . import certificates, pnp
+from .denoiser import Denoiser
 from .marginal import Marginal, NoiseModel
-from .moreau import EnvelopeNotUnimodalError, EnvelopeUnboundedError, MultivaluedProxError
-from .operators import CircularConv2D, Fidelity, gaussian_blur_kernel
+from .operators import CircularConv2D, Fidelity, observe
 from .prior import ComponentKind, MixturePrior
-from .regularizer import CONVEXITY_TOL, Regularizer, certify_weak_convexity
+from .regularizer import Regularizer, certify_weak_convexity  # noqa: F401 (perfbench/tracing.py wraps it here)
 from .textio import csv_text, fmt17, write_text
 
 __all__ = ["ConfigError", "parse_config", "run_experiment", "main"]
@@ -285,14 +283,6 @@ def _solver_settings(cfg: Config) -> tuple[pnp.SolverConfig, float | None]:
         raise ConfigError(f"section [solver]: {exc}") from exc
 
 
-def _observe(prior: MixturePrior, op: CircularConv2D, meas_sigma2: float, seed: int):
-    """A truth drawn from the prior and its blurred noisy observation."""
-    n = op.input_size
-    truth = prior.sample(n, seed=seed)
-    noise = np.random.default_rng(seed + 1).standard_normal(n)
-    return truth, op.apply(truth) + math.sqrt(meas_sigma2) * noise
-
-
 # -- experiments ---------------------------------------------------------------
 
 
@@ -329,9 +319,9 @@ def _run_deblur(cfg: Config, prefix: Path, seed: int) -> int:
     solver_cfg, lam = _solver_settings(cfg)
     reg = _regularizer_from(cfg)
 
-    truth, y = _observe(reg.marginal.prior, op, meas_sigma2, seed)
+    truth, y = observe(reg.marginal.prior, op, meas_sigma2, seed)
     fid = Fidelity.auto(op, y) if lam is None else Fidelity(op, y, lam)
-    trace = pnp.run(reg.denoiser, fid, reg, solver_cfg)
+    trace = pnp.run(fid, reg, solver_cfg)
 
     pnp.write_trace_csv(trace, Path(f"{prefix}_trace.csv"), truth=truth)
     _write_grid_csv(Path(f"{prefix}_truth.csv"), truth, op.image_shape)
@@ -344,191 +334,26 @@ def _run_deblur(cfg: Config, prefix: Path, seed: int) -> int:
     return 0
 
 
-# -- certificate suite ---------------------------------------------------------
-#
-# Every check takes (reg, seed) and returns its metrics by name.
-
-
-def _check_tweedie(reg: Regularizer, seed: int) -> dict[str, float]:
-    den = reg.denoiser
-    grid = reg.default_grid(points=41, half_width_scales=4.0)
-    tweedie = den.scalar_apply(grid)
-    oracle = den.posterior_mean(grid)
-    return {"max_abs_err": float(np.abs(tweedie - oracle).max())}
-
-
-def _check_route_agreement(reg: Regularizer, seed: int) -> dict[str, float]:
-    grid = reg.default_grid(points=101)
-    explicit, in_image = reg.phi_explicit_profile(grid)
-    envelope, _ = reg.phi_envelope_profile(grid)
-    if not in_image.any():
-        return {}  # no metric, so the gate fails
-    rel = np.abs(explicit[in_image] - envelope[in_image]) / np.maximum(
-        1.0, np.abs(explicit[in_image])
-    )
-    return {"max_rel_err": float(rel.max())}
-
-
-def _check_sandwich(reg: Regularizer, seed: int) -> dict[str, float]:
-    grid = np.linspace(-3.0, 3.0, 61)
-    # name -> (f, whether f is convex, so its inner envelope is unimodal)
-    specs = {
-        "quadratic": (lambda y: 0.5 * np.asarray(y) ** 2, True),
-        "absolute": (lambda y: np.abs(y), True),
-        "cosine": (lambda y: np.cos(3.0 * np.asarray(y)), False),
-    }
-    metrics = {}
-    for name, (f, convex) in specs.items():
-
-        def inner(ys, f=f, convex=convex):
-            return moreau.lower_envelope_many(f, 1.0, ys, unimodal=convex)[0]
-
-        # M_1 f(y) - (y - x)^2 / 2 is concave for every f: the outer search
-        # is unimodal even where the inner one is not
-        outer, _ = moreau.upper_envelope_many(inner, 1.0, grid, unimodal=True)
-        gap = f(grid) - outer
-        metrics[f"{name}_min_gap"] = float(gap.min())
-        metrics[f"{name}_max_gap"] = float(gap.max())
-    return metrics
-
-
-def _check_envelope_gradient(reg: Regularizer, seed: int) -> dict[str, float]:
-    fz = reg.marginal.scalar_value
-    worst = 0.0
-    # deliberately asymmetric points: a symmetric bimodal marginal has a
-    # genuinely two-valued prox at its symmetry centre, where the gradient
-    # identity does not apply
-    for x in (-1.9, -0.7, 0.3, 1.2, 2.1):
-        g = moreau.envelope_gradient(fz, 1.0, float(x))
-        h = 1e-4
-        lo = moreau.lower_envelope(fz, 1.0, float(x) - h).value
-        hi = moreau.lower_envelope(fz, 1.0, float(x) + h).value
-        fd = (hi - lo) / (2.0 * h)
-        worst = max(worst, abs(g - fd) / max(1.0, abs(fd)))
-    return {"max_rel_err": worst}
-
-
-def _check_moreau_identity(reg: Regularizer, seed: int) -> dict[str, float]:
-    sigma2 = reg.marginal.sigma2
-    grid = reg.default_grid(points=21, half_width_scales=3.0)
-    # phi is 1-weakly convex, so phi(y) + (y - x)^2 / 2 has one basin
-    m1, _ = moreau.lower_envelope_many(
-        lambda ys: reg.phi_explicit_profile(ys)[0], 1.0, grid, unimodal=True
-    )
-    fz = reg.marginal.scalar_value(grid)
-    anchors = [reg.c_constant(a) for a in (0.0, 0.5, -1.0)]
-    return {
-        "max_abs_err": float(np.abs(m1 / sigma2 + reg.c_anchor - fz).max()),
-        "anchor_spread": max(anchors) - min(anchors),
-    }
-
-
-def _check_weak_convexity(reg: Regularizer, seed: int) -> dict[str, float]:
-    control = certify_weak_convexity(lambda x: -np.asarray(x) ** 2, np.linspace(-3, 3, 201))
-    return {
-        "min_second_difference": reg.weak_convexity_certificate(reg.default_grid(points=201)),
-        "control_min_second_difference": control,
-    }
-
-
-def _check_prox_consistency(reg: Regularizer, seed: int) -> dict[str, float]:
-    zs = reg.default_grid(points=15, half_width_scales=3.0)
-    # argmin_y phi(y) + (y-z)^2/2 for each z, by nested envelopes (phi by
-    # its envelope route); the objective is convex, as phi is 1-weakly convex
-    _, prox_points = moreau.lower_envelope_many(
-        lambda ys: reg.phi_envelope_profile(ys)[0], 1.0, zs, unimodal=True
-    )
-    applied = reg.denoiser.scalar_apply(zs)
-    return {"max_abs_err": float(np.abs(prox_points - applied).max())}
-
-
-def _check_solver_small(reg: Regularizer, seed: int) -> dict[str, float]:
-    op = CircularConv2D(gaussian_blur_kernel(3, 0.25), (12, 12))
-    truth, y = _observe(reg.marginal.prior, op, 0.04, seed)
-    fid = Fidelity.auto(op, y)
-    trace = pnp.run(
-        reg.denoiser, fid, reg,
-        pnp.SolverConfig(max_iters=120, init=pnp.Init.ADJOINT_OBSERVATION),
-    )
-    # each descent slack may sit 1e-9 max(1, |F|) below zero, for rounding in F
-    margin = min(
-        s + 1e-9 * max(1.0, abs(r.objective_F))
-        for s, r in zip(pnp.descent_check(trace), trace.records)
-    )
-    return {
-        "min_descent_margin": float(margin),
-        "rate_violations": float(len(pnp.rate_certificate(trace).violations)),
-        "psnr_gain_db": pnp.psnr(trace.final_x, truth) - pnp.psnr(y, truth),
-    }
-
-
-# name -> (check, gate rows), in run order.  A check PASSes iff every row
-# (metric, comparison, threshold) holds; a missing or NaN metric fails it,
-# and so does a search that refuses an objective as not unimodal.
-_CERTIFICATES = {
-    "tweedie_oracle": (_check_tweedie, [("max_abs_err", "<=", 1e-6)]),
-    "route_agreement": (_check_route_agreement, [("max_rel_err", "<=", 1e-6)]),
-    "sandwich": (_check_sandwich, [
-        ("quadratic_min_gap", ">=", -1e-7),
-        ("quadratic_max_gap", "<=", 1e-7),
-        ("absolute_min_gap", ">=", -1e-7),
-        ("cosine_min_gap", ">=", -1e-7),
-        ("cosine_max_gap", ">", 0.1),
-    ]),
-    "envelope_gradient": (_check_envelope_gradient, [("max_rel_err", "<=", 1e-5)]),
-    "moreau_identity": (_check_moreau_identity, [
-        ("max_abs_err", "<=", 1e-6),
-        ("anchor_spread", "<=", 1e-6),
-    ]),
-    "weak_convexity": (_check_weak_convexity, [
-        ("min_second_difference", ">=", -CONVEXITY_TOL),
-        ("control_min_second_difference", "<", -CONVEXITY_TOL),
-    ]),
-    "prox_consistency": (_check_prox_consistency, [("max_abs_err", "<=", 1e-6)]),
-    "solver_small": (
-        _check_solver_small,
-        [("min_descent_margin", ">=", 0.0), ("rate_violations", "<=", 0.0)],
-    ),
-}
-
-_COMPARISONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
-
-
-def _passes(metrics: dict[str, float], gates) -> bool:
-    """Whether every gate row holds; NaN compares False, so it fails."""
-    return all(
-        _COMPARISONS[comparison](metrics.get(metric, math.nan), threshold)
-        for metric, comparison, threshold in gates
-    )
-
-
-def _verdict(passed: bool) -> str:
-    return "PASS" if passed else "FAIL"
+_VERDICT = {True: "PASS", False: "FAIL"}
 
 
 def _run_certificate_suite(cfg: Config, prefix: Path, seed: int) -> int:
-    reg = _regularizer_from(cfg)
-    metrics = {}
-    for name, (check, _) in _CERTIFICATES.items():
-        try:
-            metrics[name] = check(reg, seed)
-        except EnvelopeNotUnimodalError as exc:
-            print(f"{name}: numerical failure: {exc}", file=sys.stderr)
-            metrics[name] = {}
-    passed = {name: _passes(metrics[name], gates) for name, (_, gates) in _CERTIFICATES.items()}
-
+    results = certificates.run_certificates(_regularizer_from(cfg), seed)
+    for name, (_, _, failure) in results.items():
+        if failure is not None:
+            print(f"{name}: numerical failure: {failure}", file=sys.stderr)
     lines = []
-    for name in sorted(passed):
-        lines.append(f"{name} = {_verdict(passed[name])}")
-        lines += [f"{name}.{key} = {fmt17(metrics[name][key])}" for key in sorted(metrics[name])]
-    overall = all(passed.values())
-    lines.append(f"overall = {_verdict(overall)}")
+    for name, (metrics, passed, _) in sorted(results.items()):
+        lines.append(f"{name} = {_VERDICT[passed]}")
+        lines += [f"{name}.{key} = {fmt17(metrics[key])}" for key in sorted(metrics)]
+    overall = all(passed for _, passed, _ in results.values())
+    lines.append(f"overall = {_VERDICT[overall]}")
     out = Path(f"{prefix}_certificates.txt")
     write_text(out, "\n".join(lines) + "\n")
     print(f"wrote {out}")
-    for name in sorted(passed):
-        print(f"{name}: {_verdict(passed[name])}")
-    print(f"overall: {_verdict(overall)}")
+    for name, (_, passed, _) in sorted(results.items()):
+        print(f"{name}: {_VERDICT[passed]}")
+    print(f"overall: {_VERDICT[overall]}")
     return 0 if overall else 2
 
 
@@ -583,13 +408,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (
-        QuadratureError,
-        EnvelopeNotUnimodalError,
-        EnvelopeUnboundedError,
-        MultivaluedProxError,
-        pnp.DivergenceError,
-    ) as exc:
+    except certificates.NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

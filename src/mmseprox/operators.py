@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["CircularConv2D", "gaussian_blur_kernel", "Fidelity"]
+__all__ = ["CircularConv2D", "gaussian_blur_kernel", "Fidelity", "observe"]
 
 
 # Fidelity.auto scales the fidelity to the Lipschitz constant _AUTO_LIPSCHITZ.
@@ -129,3 +129,10 @@ class Fidelity:
 
     def lipschitz(self) -> float:
         return self.lam * self.op.operator_norm() ** 2
+
+
+def observe(prior, op: CircularConv2D, meas_sigma2: float, seed: int):
+    """A truth drawn from the prior and its blurred noisy observation."""
+    truth = prior.sample(op.input_size, seed=seed)
+    noise = np.random.default_rng(seed + 1).standard_normal(op.input_size)
+    return truth, op.apply(truth) + np.sqrt(meas_sigma2) * noise

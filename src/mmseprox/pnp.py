@@ -28,7 +28,6 @@ from enum import Enum
 
 import numpy as np
 
-from .denoiser import Denoiser
 from .operators import Fidelity
 from .regularizer import Regularizer
 from .textio import csv_text, write_text
@@ -120,13 +119,9 @@ def _initial_point(fid: Fidelity, init: Init) -> np.ndarray:
     raise ValueError(f"unknown init {init!r}")
 
 
-def run(
-    denoiser: Denoiser,
-    fid: Fidelity,
-    reg: Regularizer,
-    cfg: SolverConfig,
-) -> SolverTrace:
-    """Iterate the scheme from cfg.init for cfg.max_iters steps, recording each step.
+def run(fid: Fidelity, reg: Regularizer, cfg: SolverConfig) -> SolverTrace:
+    """Iterate the scheme from cfg.init for cfg.max_iters steps, with
+    ``reg.denoiser`` as the proximal step, recording each step.
 
     Without recorded objectives F is NaN, and so is every descent slack.
     """
@@ -152,7 +147,7 @@ def run(
 
     g = fid.grad(x)
     for k in range(1, cfg.max_iters + 1):
-        x_next = denoiser.apply(x - g)
+        x_next = reg.denoiser.apply(x - g)
         if not np.isfinite(x_next).all():
             raise DivergenceError(
                 f"iterate {k} is non-finite",

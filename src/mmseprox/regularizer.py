@@ -19,11 +19,11 @@ additionally finite off-image whenever the envelope objective is bounded,
 which is what makes it usable as a solver objective (``phi_total``).
 
 Weak-convexity certification has one rule, ``certify_weak_convexity``:
-the smallest central second difference of f + x^2/2 over a uniform grid.
-The verdict is the ``weak_convexity`` gate row's (``cli._CERTIFICATES``):
-it must be >= -CONVEXITY_TOL.  The regularizer applies the rule to the
-envelope route on the in-image part of a grid; any plain callable can be
-passed too, so a known-nonconvex control can be shown to fail.
+the smallest central second difference of f + x^2/2 over a uniform grid,
+which certifies iff >= -``certificates.CONVEXITY_TOL``.  The regularizer
+applies it to the envelope route on the in-image part of a grid (raising
+``ImageGridError`` if that part is short or broken); any plain callable
+can be passed too, so a known-nonconvex control can be shown to fail.
 """
 
 from __future__ import annotations
@@ -36,15 +36,14 @@ from . import moreau
 from .denoiser import INVERT_TOL, Denoiser
 from .textio import csv_text, write_text
 
-__all__ = [
-    "Regularizer",
-    "certify_weak_convexity",
-]
+__all__ = ["ImageGridError", "Regularizer", "certify_weak_convexity"]
 
-# Anchor point of the constant c, and how far below zero a second
-# difference of phi + x^2/2 may sit and still certify.
+# Anchor point of the constant c.
 _ANCHOR = 0.0
-CONVEXITY_TOL = 1e-5
+
+
+class ImageGridError(ValueError):
+    """The in-image part of a grid is too short or not contiguous."""
 
 
 def _check_uniform_grid(grid: np.ndarray) -> float:
@@ -59,7 +58,7 @@ def _check_uniform_grid(grid: np.ndarray) -> float:
 
 def certify_weak_convexity(eval_fn, grid) -> float:
     """Min central second difference of eval_fn + x^2/2 on a uniform grid;
-    1-weak convexity certifies, up to rounding, iff it is >= -CONVEXITY_TOL."""
+    1-weak convexity certifies, up to rounding, iff >= -certificates.CONVEXITY_TOL."""
     grid = np.asarray(grid, dtype=float)
     h = _check_uniform_grid(grid)
     g = np.asarray(eval_fn(grid), dtype=float) + 0.5 * grid**2
@@ -140,9 +139,9 @@ class Regularizer:
         _, in_image = self._invert(grid)
         idx = np.flatnonzero(in_image)
         if idx.size < 3:
-            raise ValueError("fewer than 3 in-image grid points; widen or recenter the grid")
+            raise ImageGridError("fewer than 3 in-image grid points; widen or recenter the grid")
         if np.any(np.diff(idx) != 1):
-            raise ValueError("in-image grid points are not contiguous; the grid straddles the image boundary irregularly")
+            raise ImageGridError("in-image grid points are not contiguous; the grid straddles the image boundary irregularly")
         return certify_weak_convexity(lambda xs: self.phi_envelope_profile(xs)[0], grid[idx])
 
     # -- grids and emission --------------------------------------------------------

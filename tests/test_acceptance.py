@@ -24,7 +24,8 @@ from mmseprox import cli, moreau, pnp
 from mmseprox.denoiser import Denoiser
 from mmseprox.marginal import Marginal, NoiseModel
 from mmseprox.operators import CircularConv2D, Fidelity, gaussian_blur_kernel
-from mmseprox.regularizer import CONVEXITY_TOL, Regularizer, certify_weak_convexity
+from mmseprox.certificates import CONVEXITY_TOL
+from mmseprox.regularizer import Regularizer, certify_weak_convexity
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN_TRACE = DATA / "golden_deblur_trace.csv"
@@ -151,7 +152,7 @@ def run_deblur_experiment():
     y = op.apply(truth) + math.sqrt(0.04) * noise
     fid = Fidelity.auto(op, y)
     cfg = pnp.SolverConfig(max_iters=500, init=pnp.Init.ADJOINT_OBSERVATION)
-    trace = pnp.run(den, fid, reg, cfg)
+    trace = pnp.run(fid, reg, cfg)
     return trace, truth, y, fid
 
 

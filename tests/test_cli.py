@@ -11,7 +11,17 @@ from textwrap import dedent
 import numpy as np
 import pytest
 
-from mmseprox import EnvelopeNotUnimodalError, Marginal, cli, moreau
+from mmseprox import (
+    DivergenceError,
+    EnvelopeNotUnimodalError,
+    EnvelopeUnboundedError,
+    Marginal,
+    MultivaluedProxError,
+    QuadratureError,
+    certificates,
+    cli,
+    moreau,
+)
 from mmseprox.cli import ConfigError, parse_config
 from mmseprox.operators import gaussian_blur_kernel
 from mmseprox.textio import fmt17
@@ -559,11 +569,11 @@ def stub_certificates(monkeypatch, metrics=None):
     ``metrics[name]`` where given, else values on which every gate row holds."""
     nudge = {"<=": 0.0, ">=": 0.0, "<": -1.0, ">": 1.0}
     table = {}
-    for name, (_, gates) in cli._CERTIFICATES.items():
+    for name, (_, gates) in certificates.CERTIFICATES.items():
         holding = {metric: threshold + nudge[cmp] for metric, cmp, threshold in gates}
         fixed = {**holding, **(metrics or {}).get(name, {})}
         table[name] = (lambda reg, seed, fixed=fixed: fixed, gates)
-    monkeypatch.setattr(cli, "_CERTIFICATES", table)
+    monkeypatch.setattr(certificates, "CERTIFICATES", table)
 
 
 def test_certificate_suite_failure_exits_2(tmp_path, capsys, monkeypatch):
@@ -593,21 +603,48 @@ def test_certificate_suite_all_green_exits_0(tmp_path, monkeypatch):
     assert report[-1] == "overall = PASS"
 
 
+@pytest.mark.parametrize("error", [
+    QuadratureError("quadrature did not converge"),
+    EnvelopeNotUnimodalError("envelope objective at x=0.0 has more than one basin"),
+    EnvelopeUnboundedError("envelope objective at x=0.0 keeps improving"),
+    MultivaluedProxError("prox at x=0.0 is multi-valued"),
+    DivergenceError("iterate 3 is non-finite", None),
+], ids=lambda e: type(e).__name__)
+def test_numerical_failure_fails_only_its_certificate(tmp_path, capsys, monkeypatch, error):
+    # every numerical failure type FAILs the check that raised it; the
+    # later checks still run and the report is still written
+    stub_certificates(monkeypatch)
+
+    def fail(reg, seed):
+        raise error
+
+    monkeypatch.setitem(certificates.CERTIFICATES, "sandwich",
+                        (fail, certificates.CERTIFICATES["sandwich"][1]))
+    path = write_config(tmp_path / "c.ini", CERT_CFG)
+    rc = cli.main(["certificate-suite", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    report = (tmp_path / "o_certificates.txt").read_text().splitlines()
+    assert "sandwich = FAIL" in report
+    assert not any(line.startswith("sandwich.") for line in report)
+    assert "solver_small = PASS" in report and report[-1] == "overall = FAIL"
+    assert capsys.readouterr().err == f"sandwich: numerical failure: {error}\n"
+
+
 def test_nan_or_missing_metric_fails_every_gate_row():
     # NaN compares False every way; an abs(gap) > bound test, for one,
     # would let a NaN gap pass
-    for comparison in cli._COMPARISONS:
-        assert not cli._passes({"m": math.nan}, [("m", comparison, 0.0)])
-        assert not cli._passes({}, [("m", comparison, 0.0)])
-    for _, gates in cli._CERTIFICATES.values():
+    for comparison in certificates.COMPARISONS:
+        assert not certificates.passes({"m": math.nan}, [("m", comparison, 0.0)])
+        assert not certificates.passes({}, [("m", comparison, 0.0)])
+    for _, gates in certificates.CERTIFICATES.values():
         for row in gates:
-            assert not cli._passes({row[0]: math.nan}, [row])
+            assert not certificates.passes({row[0]: math.nan}, [row])
 
 
 def test_gate_rows_name_reported_metrics():
     golden = (ROOT / "tests" / "data" / "golden_certificates.txt").read_text().splitlines()
     keys = {line.partition(" = ")[0] for line in golden}
-    for name, (_, gates) in cli._CERTIFICATES.items():
+    for name, (_, gates) in certificates.CERTIFICATES.items():
         assert name in keys
         for metric, _, _ in gates:
             assert f"{name}.{metric}" in keys
@@ -621,7 +658,7 @@ def test_readme_lists_the_gate_rows():
         row, comparison, threshold = line.split()
         documented.append((*row.split("."), comparison, float(threshold)))
     assert documented == [
-        (name, *row) for name, (_, gates) in cli._CERTIFICATES.items() for row in gates
+        (name, *row) for name, (_, gates) in certificates.CERTIFICATES.items() for row in gates
     ]
 
 
@@ -679,3 +716,22 @@ def test_refused_search_outside_the_suite_exits_2(tmp_path, capsys, monkeypatch)
     rc = cli.main(["regularizer-recovery", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "numerical failure: envelope objective at x=0.0" in capsys.readouterr().err
+
+
+def test_narrow_prior_fails_three_certificates_and_reports_all(tmp_path, capsys):
+    # components far narrower than the noise: the phi envelope is unbounded
+    # at the grid ends and the image is too thin for the convexity grid, so
+    # three certificates FAIL, yet every certificate reports
+    path = write_config(tmp_path / "c.ini", GMIX2_CERT_CFG.replace("scales = 0.5, 0.5",
+                                                                  "scales = 1e-4, 1e-4"))
+    argv = ["certificate-suite", "--config", str(path), "--out", str(tmp_path / "o"), "--seed", "7"]
+    assert cli.main(argv) == 2
+    report = (tmp_path / "o_certificates.txt").read_text().splitlines()
+    verdicts = dict(line.split(" = ") for line in report if "." not in line.split(" = ")[0])
+    assert sorted(verdicts) == sorted([*certificates.CERTIFICATES, "overall"])
+    assert sorted(n for n, v in verdicts.items() if v == "FAIL") == [
+        "overall", "prox_consistency", "route_agreement", "weak_convexity"]
+    assert any(line.startswith("weak_convexity.control_min_second_difference = ") for line in report)
+    assert not any(line.startswith("weak_convexity.min_second") for line in report)
+    err = capsys.readouterr().err.splitlines()
+    assert [line.partition(":")[0] for line in err] == ["route_agreement", "prox_consistency"]

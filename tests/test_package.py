@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -6,7 +7,9 @@ from pathlib import Path
 
 import mmseprox
 
-MODULES = ("prior", "marginal", "denoiser", "moreau", "operators", "pnp", "regularizer")
+MODULES = (
+    "prior", "marginal", "denoiser", "moreau", "operators", "pnp", "regularizer", "certificates"
+)
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -17,6 +20,23 @@ def test_package_root_exports_every_public_name():
         assert not missing, f"mmseprox.__all__ lacks {missing} from mmseprox.{module}"
         for name in mod.__all__:
             assert getattr(mmseprox, name) is getattr(mod, name)
+
+
+def test_no_library_module_imports_cli():
+    # cli sits on top: it parses, dispatches and formats, and the library
+    # never reaches back into it
+    for path in sorted((ROOT / "src" / "mmseprox").glob("*.py")):
+        if path.stem == "cli":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module or ''}.{a.name}" for a in node.names]
+                names += [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            assert not any(n.split(".")[-1] == "cli" for n in names if n), (path.name, names)
 
 
 def _run_python(code: str, cwd: Path) -> subprocess.CompletedProcess:

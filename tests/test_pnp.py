@@ -66,7 +66,7 @@ def test_scalar_worked_example():
     den, reg = unit_gauss_model()
     fid = Fidelity(identity(1), np.ones(1), 0.5)
     cfg = SolverConfig(max_iters=12, init=Init.OBSERVATION)
-    trace = run(den, fid, reg, cfg)
+    trace = run(fid, reg, cfg)
     assert trace.iterates[0][0] == pytest.approx(1.0, abs=0.0)  # start point is kept
     assert trace.iterates[1][0] == pytest.approx(0.5, abs=1e-14)
     assert trace.records[0].k == 1
@@ -78,7 +78,7 @@ def test_scalar_worked_example():
 
 def test_monotone_descent_and_rate():
     den, reg, fid, truth, y, cfg = small_deblur_problem()
-    trace = run(den, fid, reg, cfg)
+    trace = run(fid, reg, cfg)
     slacks = descent_check(trace)
     assert min(slacks) >= -1e-9
     cert = rate_certificate(trace)
@@ -90,7 +90,7 @@ def test_monotone_descent_and_rate():
 
 def test_residual_tends_to_zero_and_membership():
     den, reg, fid, _, _, cfg = small_deblur_problem(max_iters=80)
-    trace = run(den, fid, reg, cfg)
+    trace = run(fid, reg, cfg)
     assert trace.records[-1].best_residual <= 1e-4 * trace.records[0].best_residual
     x = trace.final_x
     # the fixed-point map should nearly reproduce the final iterate
@@ -103,7 +103,7 @@ def test_residual_tends_to_zero_and_membership():
 
 def test_best_residual_is_running_minimum():
     den, reg, fid, _, _, cfg = small_deblur_problem(max_iters=25)
-    trace = run(den, fid, reg, cfg)
+    trace = run(fid, reg, cfg)
     best = np.inf
     for rec in trace.records:
         best = min(best, rec.residual)
@@ -112,9 +112,9 @@ def test_best_residual_is_running_minimum():
 
 def test_init_modes():
     den, reg, fid, truth, y, _ = small_deblur_problem()
-    t0 = run(den, fid, reg, SolverConfig(max_iters=1, init=Init.ZEROS))
-    t1 = run(den, fid, reg, SolverConfig(max_iters=1, init=Init.OBSERVATION))
-    t2 = run(den, fid, reg, SolverConfig(max_iters=1, init=Init.ADJOINT_OBSERVATION))
+    t0 = run(fid, reg, SolverConfig(max_iters=1, init=Init.ZEROS))
+    t1 = run(fid, reg, SolverConfig(max_iters=1, init=Init.OBSERVATION))
+    t2 = run(fid, reg, SolverConfig(max_iters=1, init=Init.ADJOINT_OBSERVATION))
     z0 = den.apply(np.zeros_like(y) - fid.grad(np.zeros_like(y)))
     np.testing.assert_allclose(t0.iterates[1], z0, atol=1e-12)
     # the start points themselves differ: observation vs back-projected observation
@@ -129,7 +129,7 @@ def test_run_leaves_its_inputs_unchanged():
     observation = SolverConfig(max_iters=5, init=Init.OBSERVATION)
     for f in (fid0, fid):
         before_y = f.y.copy()
-        trace = run(den, f, reg, observation)
+        trace = run(f, reg, observation)
         assert np.array_equal(f.y, before_y)
         # The iterates are kept without copies; each must still be its own array.
         arrays = [f.y, *trace.iterates]
@@ -142,7 +142,7 @@ def test_lipschitz_at_least_one_rejected():
     den, reg = unit_gauss_model()
     fid = Fidelity(identity(2), np.zeros(2), 1.0)  # L = 1.0
     with pytest.raises(ValueError, match="[Ll]ipschitz"):
-        run(den, fid, reg, SolverConfig(max_iters=3))
+        run(fid, reg, SolverConfig(max_iters=3))
 
 
 def test_divergence_reports_partial_trace():
@@ -161,9 +161,10 @@ def test_divergence_reports_partial_trace():
                 return np.full_like(z, np.nan)
             return 0.5 * z
 
+    reg.denoiser = BlowupDenoiser()
     fid = Fidelity(identity(2), np.array([0.3, -0.2]), 0.5)
     with pytest.raises(DivergenceError, match="non-finite") as excinfo:
-        run(BlowupDenoiser(), fid, reg, SolverConfig(max_iters=10, init=Init.OBSERVATION))
+        run(fid, reg, SolverConfig(max_iters=10, init=Init.OBSERVATION))
     partial = excinfo.value.trace
     assert partial is not None
     assert len(partial.records) == 2
@@ -174,7 +175,7 @@ def test_divergence_reports_partial_trace():
 def test_record_objective_off():
     den, reg, fid, _, _, _ = small_deblur_problem(max_iters=12)
     cfg = SolverConfig(max_iters=12, record_objective=False)
-    trace = run(den, fid, reg, cfg)
+    trace = run(fid, reg, cfg)
     assert math.isnan(trace.records[0].objective_F)
     with pytest.raises(ValueError):
         descent_check(trace)
@@ -184,7 +185,7 @@ def test_record_objective_off():
 
 def test_rate_certificate_needs_enough_records():
     den, reg, fid, _, _, _ = small_deblur_problem(max_iters=5)
-    trace = run(den, fid, reg, SolverConfig(max_iters=5))
+    trace = run(fid, reg, SolverConfig(max_iters=5))
     with pytest.raises(ValueError):
         rate_certificate(trace)
 
@@ -214,7 +215,7 @@ def test_psnr():
 
 def test_trace_csv_roundtrip(tmp_path):
     den, reg, fid, truth, _, cfg = small_deblur_problem(max_iters=12)
-    trace = run(den, fid, reg, cfg)
+    trace = run(fid, reg, cfg)
     path = tmp_path / "t_trace.csv"
     write_trace_csv(trace, path, truth=truth)
     lines = path.read_text().strip().splitlines()

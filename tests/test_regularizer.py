@@ -10,7 +10,7 @@ from mmseprox import (
     Regularizer,
     certify_weak_convexity,
 )
-from mmseprox.regularizer import CONVEXITY_TOL
+from mmseprox.certificates import CONVEXITY_TOL
 
 from conftest import FIXTURE_NAMES, SIGMA2S, make_marginal, make_prior
 
