@@ -16,6 +16,7 @@ from .certificates import (CERTIFICATES, COMPARISONS, CONVEXITY_TOL, NUMERICAL_F
 from .denoiser import Denoiser, QuadratureError
 from .marginal import Marginal, NoiseModel
 from .moreau import (
+    EnvelopeNotFiniteError,
     EnvelopeNotUnimodalError,
     EnvelopeResult,
     EnvelopeUnboundedError,
@@ -51,6 +52,7 @@ __all__ = [
     "ComponentKind",
     "Denoiser",
     "DivergenceError",
+    "EnvelopeNotFiniteError",
     "EnvelopeNotUnimodalError",
     "EnvelopeResult",
     "EnvelopeUnboundedError",

@@ -20,9 +20,12 @@ subcommand, in any case and with ``_`` or ``-``.
 
 Config files are a strict flat key/value format with [section] headers,
 ``#`` comments, one ``key = value`` per line.  ``_SCHEMA`` names each
-key's parser, and each value is parsed as it is read.  Unknown sections or
-keys, duplicate keys, and malformed values, even in a key the invoked
-experiment does not read, are all hard errors that name the offending line.
+key's parser, which checks the value's syntax and range as it is read.
+Unknown sections or keys, duplicate keys, and malformed or out-of-range
+values, even in a key the invoked experiment does not read, are all hard
+errors that name the offending line.  A section that the experiment
+requires must set every key of its schema; [grid] and [solver] keys left
+out take the library's defaults.
 Exit codes: 0 success, 1 bad config or command line, 2 numerical failure
 (``certificates.NUMERICAL_FAILURES``) or any FAIL in the certificate suite.
 """
@@ -60,6 +63,21 @@ def _parse_float(s: str) -> float:
 
 def _parse_int(s: str) -> int:
     return int(s, 10)
+
+
+def _at_least(parse, low, strict: bool = False):
+    """``parse``, rejecting values below ``low`` (or at it, if ``strict``)."""
+
+    def check(s: str):
+        v = parse(s)
+        if v < low or (strict and v == low):
+            raise ValueError(f"must be {'>' if strict else '>='} {low}, got {s!r}")
+        return v
+
+    return check
+
+
+_parse_positive = _at_least(_parse_float, 0, strict=True)
 
 
 def _parse_seed(s: str) -> int:
@@ -134,30 +152,30 @@ def _parse_experiment(s: str) -> str:
 
 
 def _parse_lambda(s: str) -> float | None:
-    """``auto`` (None: ``Fidelity.auto`` picks lambda) or a number."""
-    return None if s.lower() == "auto" else _parse_float(s)
+    """``auto`` (None: ``Fidelity.auto`` picks lambda) or a positive number."""
+    return None if s.lower() == "auto" else _parse_positive(s)
 
 
-# section -> key -> parser of its (stripped) value
+# section -> key -> parser of its (stripped) value, which checks its range
 _SCHEMA = {
     "experiment": {"kind": _parse_experiment, "seed": _parse_seed},
     "prior": {
         "kinds": _parse_list(_parse_choice({k.value: k for k in ComponentKind})),
-        "weights": _parse_float_list,
+        "weights": _parse_list(_parse_positive),
         "locations": _parse_float_list,
-        "scales": _parse_float_list,
+        "scales": _parse_list(_parse_positive),
     },
-    "noise": {"sigma2": _parse_float},
-    "grid": {"points": _parse_int, "half_width_scales": _parse_float},
+    "noise": {"sigma2": _parse_positive},
+    "grid": {"points": _at_least(_parse_int, 3), "half_width_scales": _parse_positive},
     "operator": {
         "kind": _parse_choice({"conv2d": "conv2d"}),
         "kernel": _parse_kernel,
-        "height": _parse_int,
-        "width": _parse_int,
-        "measurement_sigma2": _parse_float,
+        "height": _at_least(_parse_int, 1),
+        "width": _at_least(_parse_int, 1),
+        "measurement_sigma2": _parse_positive,
     },
     "solver": {
-        "max_iters": _parse_int,
+        "max_iters": _at_least(_parse_int, 1),
         "init": _parse_choice({i.value: i for i in pnp.Init}),
         "lambda": _parse_lambda,
         "record_objective": _parse_bool,
@@ -166,32 +184,9 @@ _SCHEMA = {
 }
 
 
-class Config:
-    """Parsed config: sections of key -> parsed value."""
-
-    def __init__(self, sections: dict[str, dict[str, object]]):
-        self.sections = sections
-
-    def require_section(self, name: str) -> None:
-        if name not in self.sections:
-            raise ConfigError(f"missing required section [{name}]")
-
-    def section(self, name: str) -> dict[str, object]:
-        """The keys a section sets, with their values; empty if it is absent."""
-        return dict(self.sections.get(name, {}))
-
-    def get(self, section: str, key: str, default=None, required: bool = False):
-        values = self.sections.get(section, {})
-        if key in values:
-            return values[key]
-        if required:
-            raise ConfigError(f"missing required key {key!r} in section [{section}]")
-        return default
-
-
-def parse_config(text: str) -> Config:
-    """Parse, schema-check and value-check a config file; raise ConfigError,
-    naming the line, on the first fault."""
+def parse_config(text: str) -> dict[str, dict[str, object]]:
+    """Parse, schema-check and value-check a config file into section ->
+    key -> value; raise ConfigError, naming the line, on the first fault."""
     sections: dict[str, dict[str, object]] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -225,79 +220,33 @@ def parse_config(text: str) -> Config:
             sections[current][key] = _SCHEMA[current][key](value.strip())
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {current}.{key}: {exc}") from exc
-    return Config(sections)
-
-
-# -- model assembly ------------------------------------------------------------
-
-
-def _regularizer_from(cfg: Config) -> Regularizer:
-    """The configured model chain: prior, noisy marginal, denoiser, regularizer."""
-    arrays = {
-        key: cfg.get("prior", key, required=True)
-        for key in ("kinds", "weights", "locations", "scales")
-    }
-    try:
-        prior = MixturePrior.from_arrays(**arrays)
-    except ValueError as exc:
-        raise ConfigError(f"section [prior]: {exc}") from exc
-    sigma2 = cfg.get("noise", "sigma2", required=True)
-    try:
-        noise = NoiseModel(sigma2)
-    except ValueError as exc:
-        raise ConfigError(f"section [noise]: {exc}") from exc
-    return Regularizer(Denoiser(Marginal(prior, noise)))
-
-
-def _grid_from(cfg: Config, reg: Regularizer) -> np.ndarray:
-    """``reg.default_grid`` with the [grid] keys the config sets."""
-    settings = cfg.section("grid")
-    if "points" in settings and settings["points"] < 3:
-        raise ConfigError("grid.points must be >= 3")
-    if "half_width_scales" in settings and settings["half_width_scales"] <= 0:
-        raise ConfigError("grid.half_width_scales must be > 0")
-    return reg.default_grid(**settings)
-
-
-def _operator_from(cfg: Config) -> CircularConv2D:
-    cfg.get("operator", "kind", required=True)
-    kernel = cfg.get("operator", "kernel", required=True)
-    h = cfg.get("operator", "height", required=True)
-    w = cfg.get("operator", "width", required=True)
-    try:
-        return CircularConv2D(kernel, (h, w))
-    except ValueError as exc:
-        raise ConfigError(f"section [operator]: {exc}") from exc
-
-
-def _solver_settings(cfg: Config) -> tuple[pnp.SolverConfig, float | None]:
-    """``pnp.SolverConfig`` with the [solver] keys the config sets, and
-    lambda (None for auto)."""
-    settings = cfg.section("solver")
-    lam = settings.pop("lambda", None)
-    if lam is not None and lam <= 0:
-        raise ConfigError("solver.lambda must be > 0 or 'auto'")
-    try:
-        return pnp.SolverConfig(**settings), lam
-    except ValueError as exc:
-        raise ConfigError(f"section [solver]: {exc}") from exc
+    return sections
 
 
 # -- experiments ---------------------------------------------------------------
 
 
-def _run_regularizer_recovery(cfg: Config, prefix: Path, seed: int) -> int:
+def _regularizer_from(cfg: dict) -> Regularizer:
+    """The configured model chain: prior, noisy marginal, denoiser, regularizer."""
+    try:
+        prior = MixturePrior.from_arrays(**cfg["prior"])
+    except ValueError as exc:
+        raise ConfigError(f"section [prior]: {exc}") from exc
+    return Regularizer(Denoiser(Marginal(prior, NoiseModel(**cfg["noise"]))))
+
+
+def _run_regularizer_recovery(cfg: dict, prefix: Path, seed: int) -> int:
     reg = _regularizer_from(cfg)
-    grid = _grid_from(cfg, reg)
+    grid = reg.default_grid(**cfg.get("grid", {}))
     out = Path(f"{prefix}_curves.csv")
     reg.write_curves_csv(grid, out)
     print(f"wrote {out}")
     return 0
 
 
-def _run_denoiser_check(cfg: Config, prefix: Path, seed: int) -> int:
+def _run_denoiser_check(cfg: dict, prefix: Path, seed: int) -> int:
     reg = _regularizer_from(cfg)
-    grid = _grid_from(cfg, reg)
+    grid = reg.default_grid(**cfg.get("grid", {}))
     tweedie = reg.denoiser.scalar_apply(grid)
     oracle = reg.denoiser.posterior_mean(grid)
     err = np.abs(tweedie - oracle)
@@ -307,26 +256,23 @@ def _run_denoiser_check(cfg: Config, prefix: Path, seed: int) -> int:
     return 0
 
 
-def _write_grid_csv(path: Path, flat: np.ndarray, shape: tuple[int, int]) -> None:
-    write_text(path, csv_text(None, flat.reshape(shape).T))
-
-
-def _run_deblur(cfg: Config, prefix: Path, seed: int) -> int:
-    op = _operator_from(cfg)
-    meas_sigma2 = cfg.get("operator", "measurement_sigma2", required=True)
-    if meas_sigma2 <= 0:
-        raise ConfigError("operator.measurement_sigma2 must be > 0")
-    solver_cfg, lam = _solver_settings(cfg)
+def _run_deblur(cfg: dict, prefix: Path, seed: int) -> int:
+    operator = cfg["operator"]
+    try:
+        op = CircularConv2D(operator["kernel"], (operator["height"], operator["width"]))
+    except ValueError as exc:
+        raise ConfigError(f"section [operator]: {exc}") from exc
+    solver = dict(cfg.get("solver", {}))
+    lam = solver.pop("lambda", None)
     reg = _regularizer_from(cfg)
 
-    truth, y = observe(reg.marginal.prior, op, meas_sigma2, seed)
+    truth, y = observe(reg.marginal.prior, op, operator["measurement_sigma2"], seed)
     fid = Fidelity.auto(op, y) if lam is None else Fidelity(op, y, lam)
-    trace = pnp.run(fid, reg, solver_cfg)
+    trace = pnp.run(fid, reg, pnp.SolverConfig(**solver))
 
     pnp.write_trace_csv(trace, Path(f"{prefix}_trace.csv"), truth=truth)
-    _write_grid_csv(Path(f"{prefix}_truth.csv"), truth, op.image_shape)
-    _write_grid_csv(Path(f"{prefix}_observation.csv"), y, op.image_shape)
-    _write_grid_csv(Path(f"{prefix}_reconstruction.csv"), trace.final_x, op.image_shape)
+    for name, flat in (("truth", truth), ("observation", y), ("reconstruction", trace.final_x)):
+        write_text(Path(f"{prefix}_{name}.csv"), csv_text(None, flat.reshape(op.image_shape).T))
     p_obs = pnp.psnr(y, truth)
     p_rec = pnp.psnr(trace.final_x, truth)
     print(f"wrote {prefix}_trace.csv and signal grids")
@@ -337,7 +283,7 @@ def _run_deblur(cfg: Config, prefix: Path, seed: int) -> int:
 _VERDICT = {True: "PASS", False: "FAIL"}
 
 
-def _run_certificate_suite(cfg: Config, prefix: Path, seed: int) -> int:
+def _run_certificate_suite(cfg: dict, prefix: Path, seed: int) -> int:
     results = certificates.run_certificates(_regularizer_from(cfg), seed)
     for name, (_, _, failure) in results.items():
         if failure is not None:
@@ -366,15 +312,22 @@ _EXPERIMENTS = {
 }
 
 
-def run_experiment(command: str, cfg: Config, out: str | None, seed_override: int | None) -> int:
-    kind = cfg.get("experiment", "kind")
+def run_experiment(command: str, cfg: dict, out: str | None, seed_override: int | None) -> int:
+    """Run ``command`` on a ``parse_config`` result; each section the
+    experiment requires must set every key of its schema."""
+    experiment = cfg.get("experiment", {})
+    kind = experiment.get("kind")
     if kind not in (None, command):
         raise ConfigError(f"experiment.kind is {kind!r} but the {command!r} subcommand was invoked")
     runner, sections = _EXPERIMENTS[command]
     for section in sections:
-        cfg.require_section(section)
-    seed = cfg.get("experiment", "seed", default=0) if seed_override is None else seed_override
-    prefix = cfg.get("output", "prefix") if out is None else out
+        if section not in cfg:
+            raise ConfigError(f"missing required section [{section}]")
+        for key in _SCHEMA[section]:
+            if key not in cfg[section]:
+                raise ConfigError(f"missing required key {key!r} in section [{section}]")
+    seed = experiment.get("seed", 0) if seed_override is None else seed_override
+    prefix = cfg.get("output", {}).get("prefix") if out is None else out
     if prefix is None:
         raise ConfigError("no output prefix: set [output] prefix or pass --out")
     return runner(cfg, Path(prefix), seed)

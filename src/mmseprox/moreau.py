@@ -34,8 +34,9 @@ searches densely too.
 With ``unimodal=True`` they scan only ``_UNIMODAL_GRID_POINTS``, for
 objectives with a proof of a single basin, and check it: every grid row
 must fall and then rise to within ``_TIE_TOL`` relative, or the search
-raises :class:`EnvelopeNotUnimodalError` rather than pick a basin.  The
-callers with a proof:
+raises :class:`EnvelopeNotUnimodalError` rather than pick a basin.  (In
+every mode, a window with no finite objective value raises
+:class:`EnvelopeNotFiniteError`.)  The callers with a proof:
 
 * the lower envelope of a convex f (the quadratic and absolute inner
   envelopes of the sandwich check): f(y) + (y - x)^2 / 2 is convex;
@@ -56,6 +57,7 @@ import numpy as np
 
 __all__ = [
     "EnvelopeResult",
+    "EnvelopeNotFiniteError",
     "EnvelopeNotUnimodalError",
     "EnvelopeUnboundedError",
     "MultivaluedProxError",
@@ -89,9 +91,12 @@ class EnvelopeUnboundedError(ValueError):
     """The envelope objective keeps improving toward the search boundary."""
 
 
+class EnvelopeNotFiniteError(ValueError):
+    """The envelope objective has no finite value on a search window."""
+
+
 class EnvelopeNotUnimodalError(ValueError):
-    """An objective taken as unimodal has no finite value or several basins
-    on its search grid."""
+    """An objective taken as unimodal has several basins on its search grid."""
 
 
 class MultivaluedProxError(RuntimeError):
@@ -131,38 +136,37 @@ def _objective(eval_fn, sign: float, gamma: float, ys: np.ndarray, xs) -> np.nda
     return q
 
 
-def _check_finite(vals: np.ndarray, xs: np.ndarray) -> None:
-    """Raise unless every row of grid values has a finite entry."""
-    bad = ~np.isfinite(vals).any(axis=1)
+def _check_finite(vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Raise :class:`EnvelopeNotFiniteError` unless every row of grid values
+    has a finite entry; return ``np.isfinite(vals)``."""
+    finite = np.isfinite(vals)
+    bad = ~finite.any(axis=1)
     if bad.any():
         x = float(xs[np.argmax(bad)])
-        raise ValueError(f"envelope objective at x={x!r} is non-finite on the entire search grid")
+        raise EnvelopeNotFiniteError(f"envelope objective at x={x!r} has no finite value on its search grid")
+    return finite
 
 
 def _check_unimodal(vals: np.ndarray, xs: np.ndarray) -> None:
-    """Raise :class:`EnvelopeNotUnimodalError` unless every row of grid
-    values has a finite entry and falls up to its smallest entry, then
+    """``_check_finite``, then raise :class:`EnvelopeNotUnimodalError`
+    unless every row of grid values falls up to its smallest entry, then
     rises, each step to within ``_TIE_TOL`` of the row's magnitude.
 
     +inf entries pass where they continue a fall or a rise, so an objective
     that is +inf outside an interval is unimodal.  Only finite tolerances
     are added, so no inf - inf arises.
     """
-    finite = np.isfinite(vals)
+    finite = _check_finite(vals, xs)
     magnitude = np.abs(np.where(finite, vals, 0.0)).max(axis=1, keepdims=True)
     tol = _TIE_TOL * np.maximum(1.0, magnitude)
     prev, nxt = vals[:, :-1], vals[:, 1:]
     before_best = np.arange(1, vals.shape[1]) <= np.argmin(vals, axis=1)[:, None]
-    steps_ok = np.where(before_best, nxt <= prev + tol, nxt >= prev - tol)
-    for fault, bad in (
-        ("has no finite value", ~finite.any(axis=1)),
-        ("has more than one basin", ~steps_ok.all(axis=1)),
-    ):
-        if bad.any():
-            raise EnvelopeNotUnimodalError(
-                f"envelope objective at x={float(xs[np.argmax(bad)])!r} {fault} on "
-                "its search grid; it is not unimodal there"
-            )
+    bad = ~np.where(before_best, nxt <= prev + tol, nxt >= prev - tol).all(axis=1)
+    if bad.any():
+        raise EnvelopeNotUnimodalError(
+            f"envelope objective at x={float(xs[np.argmax(bad)])!r} has more than one basin "
+            "on its search grid; it is not unimodal there"
+        )
 
 
 def _scan(eval_fn, sign, gamma, xs, grid_points, check=_check_finite):
@@ -270,7 +274,9 @@ def _search(f, gamma: float, x: float, sign: float) -> EnvelopeResult:
     refined_y, refined_v = _golden(f, sign, gamma, a, b, xs[rows])
     finite = np.isfinite(refined_v)
     if not finite.any():
-        raise ValueError("no finite envelope candidate found")
+        raise EnvelopeNotFiniteError(
+            f"envelope objective at x={float(xs[0])!r} has no finite refined candidate"
+        )
     best_val = float(refined_v[finite].min())
     tied = np.sort(refined_y[finite & (refined_v <= best_val + _TIE_TOL)])
     distinct: list[float] = []

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,10 @@ import pytest
 
 from mmseprox import (
     DivergenceError,
+    EnvelopeNotFiniteError,
     EnvelopeNotUnimodalError,
     EnvelopeUnboundedError,
+    ImageGridError,
     Marginal,
     MultivaluedProxError,
     QuadratureError,
@@ -51,11 +54,8 @@ def test_parse_config_round_trip():
             """
         )
     )
-    assert cfg.get("experiment", "kind") == "denoiser-check"
-    assert cfg.get("experiment", "seed") == 3
-    assert cfg.get("noise", "sigma2") == 0.25
-    # absent optional key falls back to its default
-    assert cfg.get("grid", "points", default=401) == 401
+    # section -> key -> parsed value, holding only what the file sets
+    assert cfg == {"experiment": {"kind": "denoiser-check", "seed": 3}, "noise": {"sigma2": 0.25}}
 
 
 @pytest.mark.parametrize("key", ["length", "matrix_file"])
@@ -118,6 +118,12 @@ def test_empty_key_rejected():
 def test_bad_value_reports_line_number():
     with pytest.raises(ConfigError, match=r"line 2: bad value for noise.sigma2"):
         parse_config("[noise]\nsigma2 = banana\n")
+
+
+def test_readme_table_names_every_config_key():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    documented = re.findall(r"^\| `(\w+\.\w+)` \|", readme, flags=re.MULTILINE)
+    assert documented == [f"{section}.{key}" for section, keys in cli._SCHEMA.items() for key in keys]
 
 
 def test_value_parsers():
@@ -259,7 +265,8 @@ def test_missing_domain_section_named(tmp_path, capsys):
          "missing required key 'scales' in section [prior]"),
         ("denoiser-check", ("weights = 1\n", "weights = 0.5\n"), 1,
          "section [prior]: component weights must sum to 1"),
-        ("denoiser-check", ("points = 41", "points = 2"), 1, "grid.points must be >= 3"),
+        ("denoiser-check", ("points = 41", "points = 2"), 1,
+         "line 11: bad value for grid.points: must be >= 3, got '2'"),
         # numpy's generators take no negative seed; the regularizer-recovery
         # run draws nothing, but the line is rejected all the same
         ("deblur", ("seed = 0", "seed = -3"), 1,
@@ -267,11 +274,12 @@ def test_missing_domain_section_named(tmp_path, capsys):
         ("regularizer-recovery", ("[prior]", "[experiment]\nseed = -3\n[prior]"), 1,
          "line 2: bad value for experiment.seed: must be a non-negative integer"),
         ("denoiser-check", ("points = 41", "half_width_scales = 0"), 1,
-         "grid.half_width_scales must be > 0"),
+         "line 11: bad value for grid.half_width_scales: must be > 0, got '0'"),
         ("deblur", ("height = 8", "height = 2"), 1, "section [operator]: kernel shape (3, 3)"),
-        ("deblur", ("lambda = auto", "lambda = -1"), 1, "solver.lambda must be > 0 or 'auto'"),
+        ("deblur", ("lambda = auto", "lambda = -1"), 1,
+         "line 20: bad value for solver.lambda: must be > 0, got '-1'"),
         ("deblur", ("measurement_sigma2 = 0.04", "measurement_sigma2 = 0"), 1,
-         "operator.measurement_sigma2 must be > 0"),
+         "line 16: bad value for operator.measurement_sigma2: must be > 0, got '0'"),
         # gmix2 at scale 1e-4 and sigma2 = 1: the envelope maximizer lies
         # near 1e9, far past the search window.
         ("regularizer-recovery", ("scales = 0.5, 0.5", "scales = 0.0001, 0.0001"), 2,
@@ -294,6 +302,60 @@ def test_config_value_errors(tmp_path, capsys, command, edit, code, message):
     rc = cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == code
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("experiment", "seed", "-3"),
+        ("prior", "weights", "0"),
+        ("prior", "scales", "-1"),
+        ("noise", "sigma2", "0"),
+        ("grid", "points", "2"),
+        ("grid", "half_width_scales", "-1"),
+        ("operator", "height", "0"),
+        ("operator", "width", "-8"),
+        ("operator", "measurement_sigma2", "-0.04"),
+        ("solver", "max_iters", "0"),
+        ("solver", "lambda", "0"),
+    ],
+)
+def test_out_of_range_value_names_its_line_in_any_key(tmp_path, capsys, section, key, value):
+    # the suite reads only [prior] and [noise], yet each range, in a key it
+    # reads or not, is checked as its line is parsed
+    lines = dedent(CERT_CFG).splitlines()
+    if f"[{section}]" in lines:
+        line = next(i for i, text in enumerate(lines, 1) if text.startswith(f"{key} = "))
+        lines[line - 1] = f"{key} = {value}"
+    else:
+        lines += [f"[{section}]", f"{key} = {value}"]
+        line = len(lines)
+    path = write_config(tmp_path / "c.ini", "\n".join(lines) + "\n")
+    rc = cli.main(["certificate-suite", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert f"config error: line {line}: bad value for {section}.{key}: must be " in capsys.readouterr().err
+    assert not (tmp_path / "o_certificates.txt").exists()
+
+
+def test_range_bounds_accept_their_least_value():
+    cfg = parse_config("[grid]\npoints = 3\n[operator]\nheight = 1\nwidth = 1\n"
+                       "[solver]\nmax_iters = 1\nlambda = AUTO\n[experiment]\nseed = 0\n")
+    assert cfg["grid"]["points"] == 3 and cfg["solver"] == {"max_iters": 1, "lambda": None}
+
+
+@pytest.mark.parametrize("section, key", [
+    (section, key) for section in ("prior", "noise", "operator") for key in cli._SCHEMA[section]
+])
+def test_required_section_needs_every_key(tmp_path, capsys, section, key):
+    path = deblur_config(tmp_path)
+    lines = path.read_text().splitlines()
+    start = lines.index(f"[{section}]")
+    at = next(i for i, line in enumerate(lines) if i > start and line.startswith(f"{key} = "))
+    path.write_text("\n".join(lines[:at] + lines[at + 1:]) + "\n")
+    rc = cli.main(["deblur", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"config error: missing required key {key!r} in section [{section}]\n")
 
 
 @pytest.mark.parametrize(
@@ -605,10 +667,12 @@ def test_certificate_suite_all_green_exits_0(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("error", [
     QuadratureError("quadrature did not converge"),
+    EnvelopeNotFiniteError("envelope objective at x=0.0 has no finite value on its search grid"),
     EnvelopeNotUnimodalError("envelope objective at x=0.0 has more than one basin"),
     EnvelopeUnboundedError("envelope objective at x=0.0 keeps improving"),
     MultivaluedProxError("prox at x=0.0 is multi-valued"),
     DivergenceError("iterate 3 is non-finite", None),
+    ImageGridError("fewer than 3 in-image grid points"),
 ], ids=lambda e: type(e).__name__)
 def test_numerical_failure_fails_only_its_certificate(tmp_path, capsys, monkeypatch, error):
     # every numerical failure type FAILs the check that raised it; the
@@ -721,7 +785,8 @@ def test_refused_search_outside_the_suite_exits_2(tmp_path, capsys, monkeypatch)
 def test_narrow_prior_fails_three_certificates_and_reports_all(tmp_path, capsys):
     # components far narrower than the noise: the phi envelope is unbounded
     # at the grid ends and the image is too thin for the convexity grid, so
-    # three certificates FAIL, yet every certificate reports
+    # three certificates FAIL, each naming its numerical failure, yet every
+    # certificate reports
     path = write_config(tmp_path / "c.ini", GMIX2_CERT_CFG.replace("scales = 0.5, 0.5",
                                                                   "scales = 1e-4, 1e-4"))
     argv = ["certificate-suite", "--config", str(path), "--out", str(tmp_path / "o"), "--seed", "7"]
@@ -731,7 +796,8 @@ def test_narrow_prior_fails_three_certificates_and_reports_all(tmp_path, capsys)
     assert sorted(verdicts) == sorted([*certificates.CERTIFICATES, "overall"])
     assert sorted(n for n, v in verdicts.items() if v == "FAIL") == [
         "overall", "prox_consistency", "route_agreement", "weak_convexity"]
-    assert any(line.startswith("weak_convexity.control_min_second_difference = ") for line in report)
-    assert not any(line.startswith("weak_convexity.min_second") for line in report)
+    assert not any(line.startswith("weak_convexity.") for line in report)
     err = capsys.readouterr().err.splitlines()
-    assert [line.partition(":")[0] for line in err] == ["route_agreement", "prox_consistency"]
+    assert [line.partition(":")[0] for line in err] == [
+        "route_agreement", "weak_convexity", "prox_consistency"]
+    assert err[1].startswith("weak_convexity: numerical failure: in-image grid points")

@@ -10,6 +10,7 @@ from conftest import TwoPointMarginal, make_marginal
 from mmseprox import moreau
 from mmseprox import (
     Denoiser,
+    EnvelopeNotFiniteError,
     EnvelopeNotUnimodalError,
     EnvelopeUnboundedError,
     MultivaluedProxError,
@@ -107,15 +108,15 @@ def test_double_well_ties_and_multivalued_prox():
 
 def test_nonfinite_window_raises_the_same_error():
     nowhere = lambda y: np.full(np.shape(y), np.nan)
-    with pytest.raises(ValueError, match=r"at x=0\.25 is non-finite") as scalar:
+    with pytest.raises(EnvelopeNotFiniteError, match=r"at x=0\.25 has no finite value") as scalar:
         lower_envelope(nowhere, 1.0, 0.25)
-    with pytest.raises(ValueError, match=r"at x=0\.25 is non-finite") as many:
+    with pytest.raises(EnvelopeNotFiniteError, match=r"at x=0\.25 has no finite value") as many:
         lower_envelope_many(nowhere, 1.0, np.array([0.25]))
-    assert scalar.type is many.type is ValueError
+    assert scalar.type is many.type is EnvelopeNotFiniteError
     assert str(scalar.value) == str(many.value)
     # the first point whose window holds no finite value is the one named
     far_left = lambda y: np.where(np.asarray(y) < -40.0, 0.0, np.nan)
-    with pytest.raises(ValueError, match=r"at x=0\.25 is non-finite"):
+    with pytest.raises(EnvelopeNotFiniteError, match=r"at x=0\.25 has no finite value"):
         lower_envelope_many(far_left, 1.0, np.array([-30.0, 0.25, 1.0]))
 
 
@@ -391,9 +392,9 @@ def test_unimodal_search_refuses_a_grid_with_no_finite_value():
     xs = np.array([0.6])
     vals, args = lower_envelope_many(phi, 1.0, xs)
     assert np.isfinite(vals[0]) and abs(args[0]) < 0.05
-    with pytest.raises(EnvelopeNotUnimodalError, match="no finite value") as refused:
+    with pytest.raises(EnvelopeNotFiniteError, match="no finite value") as refused:
         lower_envelope_many(phi, 1.0, xs, unimodal=True)
-    assert refused.type is EnvelopeNotUnimodalError
+    assert refused.type is EnvelopeNotFiniteError
 
 
 def test_unimodal_check_takes_infinite_tails_without_warnings():
